@@ -1,7 +1,8 @@
 """Command-line front end: check, compare, gen-corpus, dense-check.
 
 Exit codes: 0 passive / agreement, 1 non-passive / disagreement,
-2 on any error (parse failure, invalid model, oracle size guard).
+2 on any error (parse failure, invalid model, oracle size guard,
+metric evaluation failure).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 import sys
 
-from . import corpus, hamiltonian, verifier
+from . import corpus, hamiltonian, search, verifier
 from .model import ModelError, load_model, realize
 from .report import SCHEMA_VERSION
 
@@ -188,6 +189,9 @@ def main(argv=None):
         return 2
     except (ModelError, hamiltonian.OracleUnavailable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except search.EvaluatorError as exc:
+        print(f"error: metric evaluation failed: {exc}", file=sys.stderr)
         return 2
 
 

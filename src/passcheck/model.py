@@ -5,19 +5,24 @@ A model is either a pole-residue expansion
     H(s) = sum_n R_n / (s - p_n) + R0
 
 or an equivalent real state-space realization (A, B, C, D).  Complex
-poles are stored once (positive imaginary part) with a pairing flag;
-evaluation and realization expand the conjugate partner on the fly.
+poles are stored once (positive imaginary part) with a pairing flag.
+Evaluation is one product over the expanded sum (conjugates included),
+H(jw) = (1 / (jw - pe))[K, n] @ R[n, P*P] + D, with the stacked arrays
+built once per model; realization expands conjugates on the fly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 INF = math.inf
+# Frequency points per batched kernel call in passivity_metric_many.
+METRIC_CHUNK = 4096
 
 
 class ModelError(ValueError):
@@ -59,18 +64,29 @@ class PoleResidueModel:
         """Number of pole terms of the expanded sum (a pair counts as 2)."""
         return sum(2 if f else 1 for f in self.is_pair)
 
-    def expanded_poles(self):
-        """All poles of the expanded sum, conjugates included."""
-        out = []
-        for p, f in zip(self.poles, self.is_pair):
-            out.append(p)
-            if f:
-                out.append(p.conjugate())
-        return out
-
     @property
     def p_max(self):
-        return max(self.omega_max, max(abs(p) for p in self.poles))
+        return max([self.omega_max, *(abs(p) for p in self.poles)])
+
+    @functools.cached_property
+    def kernel_arrays(self):
+        """Read-only (pe, R, d): the n expanded poles, their flattened
+        residues (n, P*P) and the flattened direct term, built on first use
+        and stored on this model object."""
+        P = self.port_count
+        pe, rows = [], []
+        for p, r, pair in zip(self.poles, self.residues, self.is_pair):
+            pe.append(p)
+            rows.append(r.ravel())
+            if pair:
+                pe.append(p.conjugate())
+                rows.append(r.conjugate().ravel())
+        arrays = (np.array(pe, dtype=complex),
+                  np.array(rows, dtype=complex).reshape(len(pe), P * P),
+                  self.direct_term.astype(complex).ravel())
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -90,13 +106,6 @@ class StateSpaceModel:
     @property
     def port_count(self):
         return self.D.shape[0]
-
-
-@dataclass(frozen=True)
-class PassivityThreshold:
-    """Passivity threshold; fixed to 1 for scattering representations."""
-
-    gamma: float = 1.0
 
 
 def validate(model: PoleResidueModel):
@@ -132,32 +141,22 @@ def validate(model: PoleResidueModel):
 
 def evaluate_transfer(model: PoleResidueModel, omega):
     """H(j*omega) as a P x P complex matrix; omega may be math.inf."""
-    if omega == INF:
-        return model.direct_term.astype(complex)
-    s = 1j * float(omega)
-    H = model.direct_term.astype(complex)
-    for p, r, pair in zip(model.poles, model.residues, model.is_pair):
-        H = H + r / (s - p)
-        if pair:
-            H = H + r.conjugate() / (s - p.conjugate())
-    return H
+    pe, R, d = model.kernel_arrays
+    P = model.port_count
+    if math.isinf(omega):
+        return d.reshape(P, P).copy()
+    return ((1.0 / (1j * float(omega) - pe)) @ R + d).reshape(P, P)
 
 
 def evaluate_transfer_many(model: PoleResidueModel, omegas):
     """Vectorized H(j*omega) over a 1-D frequency array -> (K, P, P)."""
+    pe, R, d = model.kernel_arrays
+    P = model.port_count
     omegas = np.asarray(omegas, dtype=float)
-    finite = np.isfinite(omegas)
-    s = 1j * omegas[finite]
-    H = np.broadcast_to(
-        model.direct_term.astype(complex), (omegas.size, *model.direct_term.shape)
-    ).copy()
-    Hf = H[finite]
-    for p, r, pair in zip(model.poles, model.residues, model.is_pair):
-        Hf += r[None, :, :] / (s - p)[:, None, None]
-        if pair:
-            Hf += r.conjugate()[None, :, :] / (s - p.conjugate())[:, None, None]
-    H[finite] = Hf
-    return H
+    finite = ~np.isinf(omegas)
+    G = np.zeros((omegas.size, pe.size), dtype=complex)
+    G[finite] = 1.0 / (1j * omegas[finite, None] - pe)
+    return (G @ R + d).reshape(omegas.size, P, P)
 
 
 def passivity_metric(model: PoleResidueModel, omega):
@@ -167,9 +166,14 @@ def passivity_metric(model: PoleResidueModel, omega):
 
 
 def passivity_metric_many(model: PoleResidueModel, omegas):
-    """Vectorized largest singular value over a frequency array."""
-    H = evaluate_transfer_many(model, omegas)
-    return np.linalg.svd(H, compute_uv=False)[:, 0]
+    """Vectorized largest singular value over a frequency array, taken
+    METRIC_CHUNK points at a time so that memory stays bounded."""
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    out = np.empty(omegas.size)
+    for k in range(0, omegas.size, METRIC_CHUNK):
+        H = evaluate_transfer_many(model, omegas[k:k + METRIC_CHUNK])
+        out[k:k + METRIC_CHUNK] = np.linalg.svd(H, compute_uv=False)[:, 0]
+    return out
 
 
 def realize(model: PoleResidueModel) -> StateSpaceModel:

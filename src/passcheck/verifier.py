@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,28 +74,15 @@ def preset(name: str) -> ModePreset:
         raise KeyError(f"unknown mode {name!r}; expected one of {sorted(PRESETS)}")
 
 
-def _max_workers():
-    raw = os.environ.get("PASSCHECK_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_subbands(model, wmap, config):
-    """Independent searches over every subband; deterministic merge order."""
+    """Independent searches over every subband, in subband order."""
 
     def one(ell):
         def theta(t):
             return passivity_metric(model, wmap.unwarp(ell + t))
         return search.run(theta, config)
 
-    workers = _max_workers()
-    subbands = range(wmap.L)
-    if workers == 1:
-        return [one(ell) for ell in subbands]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, subbands))
+    return [one(ell) for ell in range(wmap.L)]
 
 
 def merge_samples(results, wmap):

@@ -81,6 +81,25 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", "--model", str(path)]) == 2
 
+    def test_evaluator_failure_exit_two(self, passive_path, capsys, monkeypatch):
+        import passcheck.verifier as verifier_mod
+
+        def broken(model, omega):
+            raise FloatingPointError("kernel failed")
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric", broken)
+        assert main(["check", "--model", passive_path, "--mode", "hard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric evaluation failed: kernel failed")
+
+    def test_pole_free_model_file(self, tmp_path, capsys):
+        path = tmp_path / "direct.json"
+        save_model(PoleResidueModel(poles=(), residues=(), is_pair=(),
+                                    direct_term=np.array([[0.5]]), port_count=1,
+                                    omega_max=10.0), path)
+        assert main(["check", "--model", str(path), "--mode", "hard"]) == 0
+        assert "K=65" in capsys.readouterr().out
+
     def test_csv_samples_format(self, violating_path, tmp_path):
         csv_path = tmp_path / "samples.csv"
         main(["check", "--model", violating_path, "--mode", "soft",

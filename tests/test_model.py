@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from passcheck.model import (INF, ModelError, PoleResidueModel, evaluate_transfer,
-                             evaluate_transfer_many, load_model, model_from_dict,
-                             model_to_dict, passivity_metric, realize, save_model,
-                             ss_transfer, validate)
+from passcheck.model import (INF, METRIC_CHUNK, ModelError, PoleResidueModel,
+                             evaluate_transfer, evaluate_transfer_many, load_model,
+                             model_from_dict, model_to_dict, passivity_metric,
+                             passivity_metric_many, realize, save_model, ss_transfer,
+                             validate)
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -91,6 +93,62 @@ class TestEvaluateTransfer:
         batch = evaluate_transfer_many(m, omegas)
         for k, w in enumerate(omegas):
             np.testing.assert_allclose(batch[k], evaluate_transfer(m, w))
+
+
+class TestKernel:
+    """The stacked pole-residue kernel against the literal expanded sum."""
+
+    @staticmethod
+    def assert_close(H, expected):
+        assert np.abs(H - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_matches_direct_sum_mixed_poles(self):
+        rng = np.random.default_rng(17)
+        for pairs, reals in ((3, 2), (0, 4), (5, 0), (2, 1)):
+            m = random_model(rng, 3, pairs, reals)
+            omegas = np.concatenate([[0.0], rng.uniform(0, 200, 8), [INF]])
+            batch = evaluate_transfer_many(m, omegas)
+            for k, w in enumerate(omegas):
+                expected = m.direct_term if w == INF else direct_sum(m, w)
+                self.assert_close(evaluate_transfer(m, w), expected)
+                self.assert_close(batch[k], expected)
+
+    def test_arrays_read_only(self):
+        m = random_model(np.random.default_rng(19), 2, 2, 1)
+        pe, R, d = m.kernel_arrays
+        assert pe.shape == (m.n_terms,) and R.shape == (m.n_terms, 4)
+        for a in (pe, R, d):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_arrays_belong_to_their_model(self):
+        # Models built one after another (the first one garbage collected,
+        # so its id may be reused) each evaluate their own sum.
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            m = random_model(rng, 2, 2, 1)
+            self.assert_close(evaluate_transfer(m, 3.0), direct_sum(m, 3.0))
+            del m
+        m = random_model(rng, 2, 2, 1)
+        scaled = dataclasses.replace(m, residues=tuple(2 * r for r in m.residues))
+        self.assert_close(evaluate_transfer(m, 3.0), direct_sum(m, 3.0))
+        self.assert_close(evaluate_transfer(scaled, 3.0), direct_sum(scaled, 3.0))
+
+    def test_pole_free_model(self):
+        m = PoleResidueModel(poles=(), residues=(), is_pair=(),
+                             direct_term=np.array([[0.3, 0.4], [0.0, 0.0]]),
+                             port_count=2, omega_max=10.0)
+        assert m.p_max == 10.0
+        self.assert_close(evaluate_transfer(m, 2.0), m.direct_term)
+        self.assert_close(evaluate_transfer_many(m, [0.0, 5.0, INF])[1], m.direct_term)
+        assert passivity_metric(m, 1.0) == pytest.approx(0.5, rel=1e-15)
+
+    def test_metric_many_chunks_match_scalar(self):
+        m = random_model(np.random.default_rng(29), 2, 2, 1)
+        omegas = np.linspace(0.0, 300.0, METRIC_CHUNK + 3)
+        phis = passivity_metric_many(m, omegas)
+        for k in (0, METRIC_CHUNK - 1, METRIC_CHUNK, METRIC_CHUNK + 2):
+            assert phis[k] == pytest.approx(passivity_metric(m, omegas[k]), rel=1e-12)
 
 
 class TestPassivityMetric:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,28 @@ class TestCheckPassivity:
         assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
 
 
+class TestPoleFree:
+    """A model with only a direct term: sigma_max(D) at every frequency."""
+
+    @staticmethod
+    def direct_only(d):
+        return PoleResidueModel(poles=(), residues=(), is_pair=(),
+                                direct_term=np.array([[d]]), port_count=1,
+                                omega_max=10.0)
+
+    def test_passive(self):
+        report = check_passivity(self.direct_only(0.5), mode="hard")
+        assert report.passive
+        assert report.bands == []
+        assert report.total_evaluations == 65
+
+    def test_violation_spans_whole_axis(self):
+        report = check_passivity(self.direct_only(1.5), mode="hard")
+        assert not report.passive
+        assert report.bands == [ViolationBand(omega_lo=0.0, omega_hi=INF,
+                                              omega_peak=INF, phi_peak=1.5)]
+
+
 class TestDenseReferenceCheck:
     def test_single_midpoint(self):
         model = siso(-1.0, 2.0)
@@ -213,6 +236,27 @@ class TestDenseReferenceCheck:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             dense_reference_check(siso(-1.0, 0.5), count=0)
+
+    def test_memory_bounded_at_large_count(self):
+        # P = 8 with 100 pole terms: unchunked, 2e5 points would need a
+        # (2e5, 100) kernel matrix plus (2e5, 8, 8) H, well over 300 MB.
+        rng = np.random.default_rng(31)
+        poles = tuple(complex(-rng.uniform(0.1, 5), rng.uniform(1, 100))
+                      for _ in range(50))
+        model = PoleResidueModel(
+            poles=poles,
+            residues=tuple(0.01 * (rng.standard_normal((8, 8))
+                                   + 1j * rng.standard_normal((8, 8)))
+                           for _ in poles),
+            is_pair=(True,) * 50, direct_term=0.1 * np.eye(8),
+            port_count=8, omega_max=120.0)
+        tracemalloc.start()
+        try:
+            dense_reference_check(model, count=2 * 10 ** 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
 
 class TestResonant:
