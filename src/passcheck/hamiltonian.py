@@ -9,6 +9,7 @@ to cross-check the sampling pipeline, not to scale.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,6 @@ class HamiltonianProblem:
 class CrossingSet:
     frequencies: tuple
     imag_tol: float
-
-    def to_list(self):
-        return list(self.frequencies)
 
 
 def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
@@ -140,11 +138,14 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0,
                    imag_tol=DEFAULT_IMAG_TOL, max_dim=MAX_DENSE_DIM):
     """(passive, bands): algebraic verdict plus violation localization.
 
+    The Hamiltonian is built from C / gamma and D / gamma, whose transfer
+    matrix is H / gamma, so its crossings are those of the threshold gamma.
     The crossings split [0, inf) into intervals; the metric sign on each
     interval is probed at an interior point (geometric mean for interior
     intervals, 2 * last crossing for the final one, sigma_max(D) at inf).
     """
-    problem = build_problem(ss)
+    problem = build_problem(dataclasses.replace(ss, C=ss.C / gamma,
+                                                D=ss.D / gamma))
     crossings = imaginary_crossings(
         problem, imag_tol=imag_tol, dedup_tol=1e-9 * pr.p_max, max_dim=max_dim)
     ws = list(crossings.frequencies)

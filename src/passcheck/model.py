@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
-# Frequency points per batched kernel call in passivity_metric_many.
-METRIC_CHUNK = 4096
+# Complex entries (16 bytes each) allowed in one (K, n) or (K, P*P)
+# temporary of passivity_metric_many; sets how many points a chunk holds.
+METRIC_BUDGET = 2 ** 16
 
 
 class ModelError(ValueError):
@@ -166,13 +167,15 @@ def passivity_metric(model: PoleResidueModel, omega):
 
 
 def passivity_metric_many(model: PoleResidueModel, omegas):
-    """Vectorized largest singular value over a frequency array, taken
-    METRIC_CHUNK points at a time so that memory stays bounded."""
+    """Vectorized largest singular value over a frequency array, taken in
+    chunks whose (K, n) and (K, P*P) temporaries hold at most
+    METRIC_BUDGET entries each, so that memory stays bounded."""
     omegas = np.asarray(omegas, dtype=float).ravel()
+    step = max(1, METRIC_BUDGET // max(model.n_terms, model.port_count ** 2))
     out = np.empty(omegas.size)
-    for k in range(0, omegas.size, METRIC_CHUNK):
-        H = evaluate_transfer_many(model, omegas[k:k + METRIC_CHUNK])
-        out[k:k + METRIC_CHUNK] = np.linalg.svd(H, compute_uv=False)[:, 0]
+    for k in range(0, omegas.size, step):
+        H = evaluate_transfer_many(model, omegas[k:k + step])
+        out[k:k + step] = np.linalg.svd(H, compute_uv=False)[:, 0]
     return out
 
 

@@ -19,9 +19,10 @@ DEFAULT_GAMMA = 1.0
 
 
 class EvaluatorError(RuntimeError):
-    """Evaluator raised mid-search; carries the partial result."""
+    """Metric evaluation failed; ``partial`` is the search's partial
+    result when the failure came mid-search, else None."""
 
-    def __init__(self, message, partial):
+    def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
 
@@ -68,10 +69,6 @@ class SubbandResult:
     gamma: float
     valid: bool = True
 
-    @property
-    def violations(self):
-        return [(z, t) for z, t in self.samples if t > self.gamma]
-
 
 def stop_conditions(config: SearchConfig, h, children):
     """(S1, S2, S3) for the M child values of one expansion, index order."""
@@ -107,8 +104,16 @@ def _select(candidates, h):
     return best
 
 
-def run(f, config: SearchConfig, trace=None) -> SubbandResult:
-    """Locate maxima of ``f`` on [0, 1] relative to the threshold.
+def steps(config: SearchConfig, trace=None):
+    """The search as a resumable generator over batches of ``zeta``.
+
+    Each ``yield`` hands out the list of cell centres the search needs
+    next (the initial centres, then the M - 1 non-middle children of one
+    expansion) and receives their metric values, a sequence of floats in
+    the same order.  The generator returns the ``SubbandResult``.  An
+    exception thrown in at a ``yield`` is raised again as
+    ``EvaluatorError`` carrying the partial result, flagged invalid: the
+    leaves and counts as they stood before that batch.
 
     ``trace``, when given, is a list collecting one dict per iteration
     (level, expanded leaf, flags, counters) for debugging/regression.
@@ -117,21 +122,11 @@ def run(f, config: SearchConfig, trace=None) -> SubbandResult:
     M = config.M
     eval_count = 0
 
-    def evaluate(zeta):
-        nonlocal eval_count
-        eval_count += 1
-        return float(f(zeta))
-
     candidates = {}
     basket = {}
     h = config.h0
     theta_max = -math.inf
     zeta_at_max = math.nan
-
-    def note_max(zeta, value):
-        nonlocal theta_max, zeta_at_max
-        if value > theta_max:
-            theta_max, zeta_at_max = value, zeta
 
     def partial(valid):
         merged = {**candidates, **basket}
@@ -145,14 +140,23 @@ def run(f, config: SearchConfig, trace=None) -> SubbandResult:
         return SubbandResult(samples, leaves, theta_max, zeta_at_max,
                              eval_count, config.gamma, valid=valid)
 
-    try:
-        for i in range(M ** config.h0):
-            z = cell_center(M, config.h0, i)
-            v = evaluate(z)
-            candidates[(config.h0, i)] = v
-            note_max(z, v)
-    except Exception as exc:  # noqa: BLE001 - contract: flag partial invalid
-        raise EvaluatorError(str(exc), partial(valid=False)) from exc
+    def evaluate(cells, level):
+        """Yield the centres of ``cells`` at ``level``; note their values."""
+        nonlocal eval_count, theta_max, zeta_at_max
+        zetas = [cell_center(M, level, j) for j in cells]
+        try:
+            values = yield zetas
+        except Exception as exc:  # noqa: BLE001 - contract: flag partial invalid
+            raise EvaluatorError(str(exc), partial(valid=False)) from exc
+        eval_count += len(zetas)
+        for z, v in zip(zetas, values):
+            if v > theta_max:
+                theta_max, zeta_at_max = v, z
+        return values
+
+    first = range(M ** config.h0)
+    values = yield from evaluate(first, config.h0)
+    candidates.update(((config.h0, i), v) for i, v in zip(first, values))
 
     sched = config.budget_schedule
     budget_idx = 0
@@ -164,23 +168,15 @@ def run(f, config: SearchConfig, trace=None) -> SubbandResult:
         if all(lev != h for lev, _ in candidates):
             h = min(lev for lev, _ in candidates)
         (h, i), parent_val = _select(candidates, h)
-        del candidates[(h, i)]
         mid = M * i + M // 2
-        children = {}
-        try:
-            for j in range(M * i, M * (i + 1)):
-                if j == mid:
-                    children[(h + 1, j)] = parent_val
-                else:
-                    z = cell_center(M, h + 1, j)
-                    v = evaluate(z)
-                    children[(h + 1, j)] = v
-                    note_max(z, v)
-        except Exception as exc:  # noqa: BLE001
-            basket.update(children)
-            raise EvaluatorError(str(exc), partial(valid=False)) from exc
+        cells = [j for j in range(M * i, M * (i + 1)) if j != mid]
+        values = yield from evaluate(cells, h + 1)
+        del candidates[(h, i)]
+        new_vals = iter(values)
+        children = {(h + 1, j): parent_val if j == mid else next(new_vals)
+                    for j in range(M * i, M * (i + 1))}
 
-        child_vals = [children[(h + 1, j)] for j in range(M * i, M * (i + 1))]
+        child_vals = list(children.values())
         s1, s2, s3 = stop_conditions(config, h, child_vals)
         u1, u2, u3 = budget_conditions(config, epsilon, h, child_vals)
         eval_count_now = eval_count
@@ -222,3 +218,22 @@ def run(f, config: SearchConfig, trace=None) -> SubbandResult:
         mu += 1
 
     return partial(valid=True)
+
+
+def run(f, config: SearchConfig, trace=None) -> SubbandResult:
+    """Locate maxima of ``f`` on [0, 1] relative to the threshold.
+
+    Scalar driver of ``steps``: each requested ``zeta`` is evaluated by
+    one call of ``f``.
+    """
+    gen = steps(config, trace)
+    values = None
+    try:
+        while True:
+            zetas = gen.send(values)
+            try:
+                values = [float(f(z)) for z in zetas]
+            except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
+                gen.throw(exc)
+    except StopIteration as done:
+        return done.value

@@ -1,11 +1,14 @@
 """Two-stage passivity verification: warp, per-subband search, merge.
 
-Each subband of the warped axis gets an independent tree search; the
-evaluated samples are merged in global frequency order, local maxima
-above the threshold are retained (which drops spurious subband-edge
-maxima dominated by a neighbor across the boundary), and each retained
-maximum is grown into a violation band by bisecting the threshold
-crossings on either side.
+Each subband of the warped axis gets an independent tree search.  The
+searches advance in lockstep: every round gathers the points all
+unfinished searches ask for and evaluates them in one batched kernel
+call.  The evaluated samples are merged in global frequency order,
+local maxima above the threshold are retained (which drops spurious
+subband-edge maxima dominated by a neighbor across the boundary), and
+each retained maximum is grown into a violation band by bisecting the
+threshold crossings on either side.  A non-finite metric value raises
+``search.EvaluatorError``.
 """
 
 from __future__ import annotations
@@ -74,30 +77,66 @@ def preset(name: str) -> ModePreset:
         raise KeyError(f"unknown mode {name!r}; expected one of {sorted(PRESETS)}")
 
 
+def _lockstep(L, config, evaluate):
+    """Run L subband searches in lockstep; one ``evaluate`` call per round.
+
+    Each round gathers the zeta every unfinished search asks for as the
+    global coordinate ``ell + t``, evaluates them all with
+    ``evaluate(global_zetas) -> values`` and sends each search its share.
+    An exception from ``evaluate`` is thrown into a pending search, which
+    raises it as ``search.EvaluatorError``.
+    """
+    gens = [search.steps(config) for _ in range(L)]
+    requests = {ell: next(gen) for ell, gen in enumerate(gens)}
+    results = [None] * L
+    while requests:
+        zetas = [ell + t for ell, ts in requests.items() for t in ts]
+        try:
+            values = evaluate(np.array(zetas)).tolist()
+        except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
+            gens[next(iter(requests))].throw(exc)
+        pending, start = {}, 0
+        for ell, ts in requests.items():
+            try:
+                pending[ell] = gens[ell].send(values[start:start + len(ts)])
+            except StopIteration as done:
+                results[ell] = done.value
+            start += len(ts)
+        requests = pending
+    return results
+
+
+def _finite(phi, omega):
+    """Return ``phi`` if finite, else raise a named evaluation error."""
+    if not math.isfinite(phi):
+        raise search.EvaluatorError(
+            f"non-finite metric at omega={float(omega)!r}")
+    return phi
+
+
 def _run_subbands(model, wmap, config):
-    """Independent searches over every subband, in subband order."""
+    """Every subband's search, advanced in lockstep, in subband order."""
 
-    def one(ell):
-        def theta(t):
-            return passivity_metric(model, wmap.unwarp(ell + t))
-        return search.run(theta, config)
+    def evaluate(zetas):
+        omegas = wmap.unwarp_many(zetas)
+        phis = passivity_metric_many(model, omegas)
+        bad = np.flatnonzero(~np.isfinite(phis))
+        if bad.size:
+            _finite(phis[bad[0]], omegas[bad[0]])
+        return phis
 
-    return [one(ell) for ell in range(wmap.L)]
+    return _lockstep(wmap.L, config, evaluate)
 
 
 def merge_samples(results, wmap):
     """Global (omega, zeta, phi, subband) list sorted by zeta, deduplicated."""
-    merged = []
-    seen = set()
+    first = {}
     for ell, res in enumerate(results):
         for z, v in res.samples:
-            gz = ell + z
-            if gz in seen:
-                continue
-            seen.add(gz)
-            merged.append((wmap.unwarp(gz), gz, v, ell))
-    merged.sort(key=lambda rec: rec[1])
-    return merged
+            first.setdefault(ell + z, (v, ell))
+    zetas = sorted(first)
+    omegas = wmap.unwarp_many(zetas).tolist()
+    return [(w, gz, *first[gz]) for w, gz in zip(omegas, zetas)]
 
 
 def postprocess_edge_maxima(samples, gamma=1.0):
@@ -160,7 +199,8 @@ def extract_bands(samples, model, wmap, retained, gamma=1.0,
     """Grow each retained maximum into a refined violation band."""
 
     def g(z):
-        return passivity_metric(model, wmap.unwarp(z))
+        omega = wmap.unwarp(z)
+        return _finite(passivity_metric(model, omega), omega)
 
     L = float(wmap.L)
     zetas = [s[1] for s in samples]
@@ -204,7 +244,7 @@ def extract_bands(samples, model, wmap, retained, gamma=1.0,
         if phis[idx] > phi_pk:
             omega_pk, phi_pk = wmap.unwarp(zetas[idx]), phis[idx]
         if omega_hi == INF:
-            phi_inf = passivity_metric(model, INF)
+            phi_inf = _finite(passivity_metric(model, INF), INF)
             if phi_inf >= phi_pk:
                 omega_pk, phi_pk = INF, phi_inf
         bands.append(ViolationBand(omega_lo=omega_lo, omega_hi=omega_hi,

@@ -88,9 +88,20 @@ class TestCheckCommand:
             raise FloatingPointError("kernel failed")
 
         monkeypatch.setattr(verifier_mod, "passivity_metric", broken)
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many", broken)
         assert main(["check", "--model", passive_path, "--mode", "hard"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: metric evaluation failed: kernel failed")
+
+    def test_nan_metric_exit_two(self, passive_path, capsys, monkeypatch):
+        import passcheck.verifier as verifier_mod
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many",
+                            lambda model, omegas: np.full(len(omegas), np.nan))
+        assert main(["check", "--model", passive_path, "--mode", "hard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: metric evaluation failed: non-finite metric at omega=")
 
     def test_pole_free_model_file(self, tmp_path, capsys):
         path = tmp_path / "direct.json"

@@ -8,6 +8,7 @@ from passcheck.hamiltonian import (CrossingSet, HamiltonianProblem,
                                    imaginary_crossings, oracle_verdict)
 from passcheck.model import (INF, PoleResidueModel, StateSpaceModel,
                              passivity_metric, realize)
+from passcheck.verifier import check_passivity
 
 
 def siso_ss(a, b, c, d):
@@ -152,7 +153,7 @@ class TestImaginaryCrossings:
 
     def test_dedup(self):
         cs = CrossingSet(frequencies=(1.0, 2.0), imag_tol=1e-8)
-        assert cs.to_list() == [1.0, 2.0]
+        assert list(cs.frequencies) == [1.0, 2.0]
 
 
 def _random_pr(rng, P, pairs, reals):
@@ -214,6 +215,25 @@ class TestOracleVerdict:
             elif passive:
                 assert bands == []
         assert hits >= 5  # the sweep actually exercised violating models
+
+    def test_gamma_three_passive_both_routes(self):
+        # H = 2/(s+1) peaks at 2 < 3.
+        pr = siso_pr(-1.0, 2.0)
+        passive, bands = oracle_verdict(realize(pr), pr, gamma=3.0)
+        assert passive and bands == []
+        assert check_passivity(pr, "hard", gamma=3.0).passive
+
+    def test_gamma_band_edge_both_routes(self):
+        # |H| = 2 / sqrt(1 + w^2) > 1.5 on [0, sqrt(7)/3).
+        pr = siso_pr(-1.0, 2.0)
+        edge = math.sqrt(7.0) / 3.0
+        passive, bands = oracle_verdict(realize(pr), pr, gamma=1.5)
+        report = check_passivity(pr, "hard", gamma=1.5)
+        assert not passive and not report.passive
+        for found in (bands, report.bands):
+            assert len(found) == 1
+            assert found[0].omega_lo == 0.0
+            assert found[0].omega_hi == pytest.approx(edge, rel=1e-9)
 
     def test_verdict_matches_crossings(self):
         pr = siso_pr(-1.0, 0.5)

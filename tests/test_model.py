@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from passcheck.model import (INF, METRIC_CHUNK, ModelError, PoleResidueModel,
+from passcheck.model import (INF, METRIC_BUDGET, ModelError, PoleResidueModel,
                              evaluate_transfer, evaluate_transfer_many, load_model,
                              model_from_dict, model_to_dict, passivity_metric,
                              passivity_metric_many, realize, save_model, ss_transfer,
@@ -145,10 +146,26 @@ class TestKernel:
 
     def test_metric_many_chunks_match_scalar(self):
         m = random_model(np.random.default_rng(29), 2, 2, 1)
-        omegas = np.linspace(0.0, 300.0, METRIC_CHUNK + 3)
+        step = METRIC_BUDGET // max(m.n_terms, 2 * 2)
+        omegas = np.linspace(0.0, 300.0, step + 3)
         phis = passivity_metric_many(m, omegas)
-        for k in (0, METRIC_CHUNK - 1, METRIC_CHUNK, METRIC_CHUNK + 2):
+        for k in (0, step - 1, step, step + 2):
             assert phis[k] == pytest.approx(passivity_metric(m, omegas[k]), rel=1e-12)
+
+    def test_metric_many_memory_bounded_by_entries(self):
+        # One lockstep round on a (16, 200) model holds about 3 405 points;
+        # a fixed 4 096-point chunk would need (K, 200) and (K, 256)
+        # complex temporaries of 13 and 17 MB.
+        m = random_model(np.random.default_rng(31), 16, 100, 0)
+        assert m.n_terms == 200
+        omegas = np.linspace(0.0, 200.0, 3405)
+        tracemalloc.start()
+        try:
+            passivity_metric_many(m, omegas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestPassivityMetric:

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from passcheck.model import INF, PoleResidueModel, passivity_metric
+import passcheck.verifier as verifier_mod
+from passcheck import search
+from passcheck.model import INF, PoleResidueModel, passivity_metric, passivity_metric_many
 from passcheck.report import PassivityReport, ViolationBand
+from passcheck.search import EvaluatorError, SearchConfig
 from passcheck.verifier import (PRESETS, check_passivity, dense_reference_check,
                                 merge_samples, postprocess_edge_maxima, preset)
-from passcheck.warp import ControlPointSet, WarpMap
+from passcheck.warp import ControlPointSet, WarpMap, build_warp_map
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -133,25 +136,31 @@ class TestCheckPassivity:
         assert report.bands[-1].omega_hi == INF
         assert report.bands[-1].phi_peak >= 1.1
 
-    def test_total_evaluations_counts_metric_calls(self):
+    def test_total_evaluations_counts_metric_calls(self, monkeypatch):
         model = siso(-1.0, 0.5)
         calls = [0]
-        orig = passivity_metric
 
         def counting(m, w):
             calls[0] += 1
-            return orig(m, w)
+            return passivity_metric(m, w)
 
-        import passcheck.verifier as verifier_mod
-        old = verifier_mod.passivity_metric
-        verifier_mod.passivity_metric = counting
-        try:
-            report = check_passivity(model, mode="soft")
-        finally:
-            verifier_mod.passivity_metric = old
+        def counting_many(m, ws):
+            calls[0] += len(ws)
+            return passivity_metric_many(m, ws)
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric", counting)
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many", counting_many)
+        report = check_passivity(model, mode="soft")
         # band refinement would add calls; passive run has none
         assert report.passive
         assert calls[0] == report.total_evaluations
+
+    def test_non_finite_refine_metric_raises(self, monkeypatch):
+        # The search sees finite values; the band refinement gets NaN.
+        monkeypatch.setattr(verifier_mod, "passivity_metric",
+                            lambda m, w: math.nan)
+        with pytest.raises(EvaluatorError, match="non-finite metric at omega="):
+            check_passivity(siso(-1.0, 2.0), mode="hard")
 
     def test_rejects_invalid_model(self):
         with pytest.raises(ValueError):
@@ -191,6 +200,86 @@ class TestCheckPassivity:
         a = check_passivity(siso(-1.0, 2.0), mode="final")
         b = check_passivity(siso(-1.0, 2.0), mode="final")
         assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+
+
+class TestLockstep:
+    """All subband searches advance together, one batched call per round."""
+
+    @staticmethod
+    def per_subband(f, L, config):
+        return [search.run(lambda t, ell=ell: f(ell + t), config)
+                for ell in range(L)]
+
+    @staticmethod
+    def lockstep(f, L, config):
+        return verifier_mod._lockstep(
+            L, config, lambda zetas: np.array([f(z) for z in zetas]))
+
+    @staticmethod
+    def fields(res):
+        return (res.samples, res.leaves, res.eval_count, res.theta_max,
+                res.zeta_at_max)
+
+    @pytest.mark.parametrize("config", [
+        PRESETS["soft"].search_config,
+        PRESETS["hard"].search_config,
+        PRESETS["final"].search_config,
+        SearchConfig(M=5, h0=1, delta_eta=1e-2, basket_reuse=True,
+                     budget_schedule=(10, 40, 80)),
+    ], ids=["soft", "hard", "final", "basket-reuse"])
+    def test_matches_per_subband_runs(self, config):
+        def f(z):
+            return 0.7 + 0.45 * math.sin(5.3 * z + 0.4) * math.exp(-0.05 * z)
+
+        L = 7
+        expected = self.per_subband(f, L, config)
+        got = self.lockstep(f, L, config)
+        assert [self.fields(r) for r in got] == [self.fields(r) for r in expected]
+        assert all(r.valid for r in got)
+
+    def test_matches_per_subband_runs_when_escalating(self):
+        # Just below the threshold everywhere: U1 and U2 hold, so budget
+        # overruns escalate through the schedule.
+        config = PRESETS["hard"].search_config
+
+        def f(z):
+            return 0.9996 - 1e-4 * (math.sin(2.1 * z) ** 2)
+
+        trace = []
+        search.run(f, config, trace=trace)
+        assert trace[-1]["budget"] > config.budget_schedule[0]
+        expected = self.per_subband(f, 4, config)
+        got = self.lockstep(f, 4, config)
+        assert [self.fields(r) for r in got] == [self.fields(r) for r in expected]
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        model = resonant(damping=0.02, w0=10.0, residue_scale=1.2)
+        config = PRESETS["hard"].search_config
+        wmap = build_warp_map(model, PRESETS["hard"].warp_params)
+        steps = []
+        for ell in range(wmap.L):
+            trace = []
+            search.run(lambda t, ell=ell: passivity_metric(model, wmap.unwarp(ell + t)),
+                       config, trace=trace)
+            steps.append(1 + len(trace))
+        calls = []
+
+        def counting_many(m, ws):
+            calls.append(len(ws))
+            return passivity_metric_many(m, ws)
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many", counting_many)
+        results = verifier_mod._run_subbands(model, wmap, config)
+        assert len(calls) <= max(steps)
+        assert sum(calls) == sum(r.eval_count for r in results)
+
+    def test_kernel_failure_flags_partial(self):
+        def evaluate(zetas):
+            raise FloatingPointError("kernel failed")
+
+        with pytest.raises(EvaluatorError, match="kernel failed") as exc_info:
+            verifier_mod._lockstep(3, PRESETS["hard"].search_config, evaluate)
+        assert exc_info.value.partial.valid is False
 
 
 class TestPoleFree:
