@@ -9,27 +9,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 
 from . import corpus, hamiltonian, search, verifier
 from .model import ModelError, load_model, realize
-from .report import SCHEMA_VERSION
+from .report import SCHEMA_VERSION, encode_num
 
 
 def _load(path, hz):
     model = load_model(path)
     if hz:
         two_pi = 2.0 * math.pi
-        from .model import PoleResidueModel
-
-        model = PoleResidueModel(
+        model = dataclasses.replace(
+            model,
             poles=tuple(p * two_pi for p in model.poles),
             residues=tuple(r * two_pi for r in model.residues),
-            is_pair=model.is_pair,
-            direct_term=model.direct_term,
-            port_count=model.port_count,
             omega_max=model.omega_max * two_pi,
         )
     return model
@@ -47,7 +44,7 @@ def _write_csv(path, report):
         writer.writerow(["omega", "zeta", "phi", "subband", "is_violation"])
         for omega, zeta, phi, subband in report.samples:
             writer.writerow([
-                "inf" if omega == math.inf else repr(omega),
+                encode_num(omega),
                 repr(zeta), repr(phi), subband,
                 int(phi > report.gamma),
             ])
@@ -98,7 +95,7 @@ def compare_model(model, mode="hard", dense_count=10 ** 6):
         doc["dense_check"] = {
             "count": dense_count,
             "violation_found": violated,
-            "worst_omega": "inf" if worst_w == math.inf else worst_w,
+            "worst_omega": encode_num(worst_w),
             "worst_phi": worst_phi,
         }
         if label == "FN" and violated:

@@ -9,15 +9,15 @@ the intended verdict recorded in the manifest.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
-import scipy.optimize
 
-from .model import PoleResidueModel, passivity_metric, passivity_metric_many, save_model
-from .verifier import preset
+from .model import PoleResidueModel, save_model
+from .verifier import locate_peak, preset
 from .warp import build_warp_map
 
 DEFAULT_TARGETS = (0.8, 0.99, 1.001, 1.2)
@@ -53,38 +53,20 @@ def _random_model(rng, port_count, n_terms):
         direct_term=direct, port_count=P, omega_max=omega_max)
 
 
-def peak_metric(model, grid=CALIBRATION_GRID):
+def peak_metric(model):
     """(omega_at_max, max_phi) by warped dense sweep plus local polish."""
     wmap = build_warp_map(model, preset("hard").warp_params)
-    zetas = (np.arange(grid) + 0.5) * (wmap.L / grid)
-    omegas = wmap.unwarp_many(zetas)
-    phis = passivity_metric_many(model, omegas)
-    k = int(np.argmax(phis))
-    a = zetas[max(k - 1, 0)]
-    b = zetas[min(k + 1, grid - 1)]
-    res = scipy.optimize.minimize_scalar(
-        lambda z: -passivity_metric(model, wmap.unwarp(z)),
-        bounds=(a, b), method="bounded", options={"xatol": 1e-13})
-    best_phi = max(float(-res.fun), float(phis[k]))
-    best_w = wmap.unwarp(float(res.x)) if -res.fun >= phis[k] else float(omegas[k])
-    phi_inf = passivity_metric(model, math.inf)
-    if phi_inf > best_phi:
-        return math.inf, phi_inf
-    return best_w, best_phi
+    return locate_peak(model, wmap, 0.0, float(wmap.L), to_inf=True,
+                       sweep=CALIBRATION_GRID)
 
 
 def scaled_to_target(model, target):
     """Rescale residues and direct term so max phi equals target."""
     _, phi_max = peak_metric(model)
     factor = target / phi_max if phi_max > 0 else 0.0
-    return PoleResidueModel(
-        poles=model.poles,
-        residues=tuple(r * factor for r in model.residues),
-        is_pair=model.is_pair,
-        direct_term=model.direct_term * factor,
-        port_count=model.port_count,
-        omega_max=model.omega_max,
-    ), factor
+    return dataclasses.replace(
+        model, residues=tuple(r * factor for r in model.residues),
+        direct_term=model.direct_term * factor), factor
 
 
 def generate_entry(rng, port_count, n_terms, target):

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
+from . import verifier
 from .model import (INF, PoleResidueModel, StateSpaceModel, passivity_metric,
                     passivity_metric_many)
 from .report import ViolationBand
+from .warp import build_warp_map
 
 # Below this distance of sigma_max(D) from 1 the full-matrix form is
 # ill-conditioned and the extended pencil is used instead.
@@ -27,6 +28,8 @@ D_SWITCH_TOL = 1e-4
 
 DEFAULT_IMAG_TOL = 1e-8
 MAX_DENSE_DIM = 4000
+# Warped midpoints swept per oracle band before the peak is polished.
+BAND_GRID = 1024
 
 
 class OracleUnavailable(RuntimeError):
@@ -106,36 +109,20 @@ def imaginary_crossings(problem: HamiltonianProblem,
                        imag_tol=imag_tol)
 
 
-def _band_peak(pr: PoleResidueModel, lo, hi, grid=1024):
-    """Approximate (omega_peak, phi_peak) of the metric on [lo, hi]."""
-    scale = max(lo, 1.0)
-    if math.isinf(hi):
-        u = np.linspace(0.0, 1.0, grid, endpoint=False)
-        omegas = lo + scale * u / (1.0 - u)
-    else:
-        omegas = np.linspace(lo, hi, grid)
-    phis = passivity_metric_many(pr, omegas)
+def _band_peak(pr: PoleResidueModel, wmap, lo, hi):
+    """(omega_peak, phi_peak) of the metric on [lo, hi], located as the
+    adaptive check locates its peaks.  A band edge can hold the maximum
+    (at omega = 0, or where a lower singular value crosses), so the
+    better finite edge is the known best sample."""
+    edges = [w for w in (lo, hi) if w < INF]
+    phis = passivity_metric_many(pr, edges)
     k = int(np.argmax(phis))
-    a = omegas[max(k - 1, 0)]
-    b = omegas[min(k + 1, grid - 1)]
-    if b > a:
-        res = scipy.optimize.minimize_scalar(
-            lambda w: -passivity_metric(pr, w), bounds=(a, b),
-            method="bounded", options={"xatol": 1e-13 * max(b, 1.0)})
-        if -res.fun > phis[k]:
-            best_w, best_phi = float(res.x), float(-res.fun)
-        else:
-            best_w, best_phi = float(omegas[k]), float(phis[k])
-    else:
-        best_w, best_phi = float(omegas[k]), float(phis[k])
-    phi_inf = passivity_metric(pr, INF)
-    if math.isinf(hi) and phi_inf >= best_phi:
-        return INF, phi_inf
-    return best_w, best_phi
+    return verifier.locate_peak(pr, wmap, wmap.warp(lo), wmap.warp(hi),
+                                best=(edges[k], float(phis[k])),
+                                to_inf=hi == INF, sweep=BAND_GRID)
 
 
-def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0,
-                   imag_tol=DEFAULT_IMAG_TOL, max_dim=MAX_DENSE_DIM):
+def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):
     """(passive, bands): algebraic verdict plus violation localization.
 
     The Hamiltonian is built from C / gamma and D / gamma, whose transfer
@@ -146,13 +133,13 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0,
     """
     problem = build_problem(dataclasses.replace(ss, C=ss.C / gamma,
                                                 D=ss.D / gamma))
-    crossings = imaginary_crossings(
-        problem, imag_tol=imag_tol, dedup_tol=1e-9 * pr.p_max, max_dim=max_dim)
+    crossings = imaginary_crossings(problem, dedup_tol=1e-9 * pr.p_max)
     ws = list(crossings.frequencies)
     # Zero can appear as a crossing (eigenvalue at the origin); it does not
     # split [0, inf) into a new interval.
     ws = [w for w in ws if w > 0]
     edges = [0.0] + ws + [INF]
+    wmap = build_warp_map(pr, verifier.PRESETS["hard"].warp_params)
     bands = []
     for lo, hi in zip(edges, edges[1:]):
         if hi == INF:
@@ -163,7 +150,7 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0,
             probe = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
             violated = passivity_metric(pr, probe) > gamma
         if violated:
-            peak_w, peak_phi = _band_peak(pr, lo, hi)
+            peak_w, peak_phi = _band_peak(pr, wmap, lo, hi)
             bands.append(ViolationBand(omega_lo=lo, omega_hi=hi,
                                        omega_peak=peak_w, phi_peak=peak_phi))
     # Crossings with no flagged interval (tangential touches) still count

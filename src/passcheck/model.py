@@ -259,24 +259,33 @@ def model_to_dict(model: PoleResidueModel) -> dict:
     }
 
 
+def _field(doc, name, convert):
+    """``convert(doc[name])``; a malformed value raises a named ModelError."""
+    try:
+        return convert(doc[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"model field {name!r} is malformed: {exc!r}") from None
+
+
 def model_from_dict(doc: dict) -> PoleResidueModel:
+    if not isinstance(doc, dict):
+        raise ModelError("model file must hold a JSON object")
     missing = [k for k in SCHEMA_FIELDS if k not in doc]
     if missing:
         raise ModelError(f"model file missing fields: {', '.join(missing)}")
-    P = int(doc["port_count"])
-    poles = [_c(e) for e in doc["poles"]]
+    P = _field(doc, "port_count", int)
+    poles = _field(doc, "poles", lambda es: [_c(e) for e in es])
     flags = [bool(e.get("is_pair", False)) for e in doc["poles"]]
-    residues = [
+    residues = _field(doc, "residues", lambda rs: [
         np.array([[_c(v) for v in row] for row in r], dtype=complex)
-        for r in doc["residues"]
-    ]
-    direct = np.asarray(doc["direct_term"], dtype=float)
+        for r in rs])
+    direct = _field(doc, "direct_term", lambda d: np.asarray(d, dtype=float))
     for name, arr in (("direct_term", direct),
                       ("residues", np.array([r.view(float) for r in residues]) if residues else np.zeros(0)),
                       ("poles", np.array(poles).view(float) if poles else np.zeros(0))):
         if arr.size and not np.all(np.isfinite(arr)):
             raise ModelError(f"model field {name!r} contains NaN/Inf")
-    omega_max = float(doc["omega_max"])
+    omega_max = _field(doc, "omega_max", float)
     if not math.isfinite(omega_max):
         raise ModelError("model field 'omega_max' contains NaN/Inf")
     model = PoleResidueModel(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 SCHEMA_VERSION = 1
 
 
-def _num(x):
+def encode_num(x):
     """JSON-safe scalar; infinity is encoded as the string "inf"."""
     if x == math.inf:
         return "inf"
@@ -30,9 +30,9 @@ class ViolationBand:
 
     def to_dict(self):
         return {
-            "omega_lo": _num(self.omega_lo),
-            "omega_hi": _num(self.omega_hi),
-            "omega_peak": _num(self.omega_peak),
+            "omega_lo": encode_num(self.omega_lo),
+            "omega_hi": encode_num(self.omega_hi),
+            "omega_peak": encode_num(self.omega_peak),
             "phi_peak": float(self.phi_peak),
         }
 
@@ -69,7 +69,7 @@ class PassivityReport:
             "total_evaluations": self.total_evaluations,
             "bands": [b.to_dict() for b in self.bands],
             "samples": [
-                {"omega": _num(w), "zeta": float(z), "phi": float(p), "subband": sb}
+                {"omega": encode_num(w), "zeta": float(z), "phi": float(p), "subband": sb}
                 for (w, z, p, sb) in self.samples
             ],
         }

@@ -14,6 +14,7 @@ threshold crossings on either side.  A non-finite metric value raises
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -114,6 +115,12 @@ def _finite(phi, omega):
     return phi
 
 
+def _warped_phi(model, wmap, z):
+    """The metric at zeta; a non-finite value raises."""
+    omega = wmap.unwarp(z)
+    return _finite(passivity_metric(model, omega), omega)
+
+
 def _run_subbands(model, wmap, config):
     """Every subband's search, advanced in lockstep, in subband order."""
 
@@ -163,7 +170,7 @@ def postprocess_edge_maxima(samples, gamma=1.0):
     return retained
 
 
-def _bisect_crossing(g, a, b, wmap, refine_tol):
+def _bisect_crossing(g, a, b, wmap):
     """Zeta of the gamma crossing bracketed by g(a) > 0 > g(b) or vice versa.
 
     Bisection runs in the warped coordinate; convergence is judged on the
@@ -177,83 +184,84 @@ def _bisect_crossing(g, a, b, wmap, refine_tol):
         else:
             b = mid
         wa, wb = wmap.unwarp(min(a, b)), wmap.unwarp(max(a, b))
-        if math.isfinite(wb) and wb - wa <= refine_tol * max(wb, 1e-300):
+        if math.isfinite(wb) and wb - wa <= DEFAULT_REFINE_TOL * max(wb, 1e-300):
             break
         if abs(b - a) <= 1e-16:
             break
     return 0.5 * (a + b)
 
 
-def _polish_peak(g, a, b):
-    """Local maximizer of g on [a, b] (bounded scalar search)."""
-    if not b > a:
-        return a, g(a)
-    res = scipy.optimize.minimize_scalar(
-        lambda z: -g(z), bounds=(a, b), method="bounded",
-        options={"xatol": 1e-14 * max(b - a, 1.0), "maxiter": 500})
-    return float(res.x), float(-res.fun)
+def locate_peak(model, wmap, a, b, best=None, to_inf=False, sweep=0):
+    """(omega, phi) of the metric's peak over the warped interval [a, b].
+
+    With ``sweep`` > 0, that many midpoints of [a, b] are evaluated in one
+    batched call and the polish is bracketed by the midpoints next to
+    their maximum; otherwise the polish runs on all of [a, b].  The bounded
+    polish wins a tie against the best sample, which is the sweep maximum
+    or ``best``, an (omega, phi) sample the caller already holds.  When
+    ``to_inf``, omega = inf is probed last and wins a tie.
+    """
+    if sweep:
+        zetas = a + (np.arange(sweep) + 0.5) * ((b - a) / sweep)
+        omegas = wmap.unwarp_many(zetas)
+        phis = passivity_metric_many(model, omegas)
+        k = int(np.argmax(phis))
+        if best is None or phis[k] > best[1]:
+            best = (float(omegas[k]), float(phis[k]))
+        a, b = zetas[max(k - 1, 0)], zetas[min(k + 1, sweep - 1)]
+    if b > a:
+        res = scipy.optimize.minimize_scalar(
+            lambda z: -_warped_phi(model, wmap, z), bounds=(a, b), method="bounded",
+            options={"xatol": 1e-14 * max(b - a, 1.0), "maxiter": 500})
+        omega, phi = wmap.unwarp(float(res.x)), float(-res.fun)
+    else:
+        omega, phi = wmap.unwarp(a), _warped_phi(model, wmap, a)
+    if best is not None and best[1] > phi:
+        omega, phi = best
+    if to_inf:
+        phi_inf = _finite(passivity_metric(model, INF), INF)
+        if phi_inf >= phi:
+            omega, phi = INF, phi_inf
+    return omega, phi
 
 
-def extract_bands(samples, model, wmap, retained, gamma=1.0,
-                  refine_tol=DEFAULT_REFINE_TOL):
+def extract_bands(samples, model, wmap, retained, gamma=1.0):
     """Grow each retained maximum into a refined violation band."""
+    g = functools.partial(_warped_phi, model, wmap)
 
-    def g(z):
-        omega = wmap.unwarp(z)
-        return _finite(passivity_metric(model, omega), omega)
+    def edge(idx, step, end):
+        """(zeta, omega) of the band edge from ``idx`` towards ``end``, 0 or L."""
+        k = idx
+        while 0 <= k < n and phis[k] > gamma:
+            k += step
+        inside = 0 <= k < n
+        if not inside and g(end) > gamma:
+            return end, wmap.unwarp(end)
+        z = _bisect_crossing(lambda z: g(z) - gamma, zetas[k - step],
+                             zetas[k] if inside else end, wmap)
+        return z, wmap.unwarp(z)
 
     L = float(wmap.L)
     zetas = [s[1] for s in samples]
     phis = [s[2] for s in samples]
+    n = len(phis)
     bands = []
     for idx in retained:
-        # Left edge.
-        k = idx
-        while k >= 0 and phis[k] > gamma:
-            k -= 1
-        if k >= 0:
-            z_lo = _bisect_crossing(lambda z: g(z) - gamma,
-                                    zetas[k + 1], zetas[k], wmap, refine_tol)
-            omega_lo = wmap.unwarp(z_lo)
-        elif g(0.0) > gamma:
-            z_lo, omega_lo = 0.0, 0.0
-        else:
-            z_lo = _bisect_crossing(lambda z: g(z) - gamma,
-                                    zetas[0], 0.0, wmap, refine_tol)
-            omega_lo = wmap.unwarp(z_lo)
-        # Right edge.
-        k = idx
-        n = len(phis)
-        while k < n and phis[k] > gamma:
-            k += 1
-        if k < n:
-            z_hi = _bisect_crossing(lambda z: g(z) - gamma,
-                                    zetas[k - 1], zetas[k], wmap, refine_tol)
-            omega_hi = wmap.unwarp(z_hi)
-        elif g(L) > gamma:
-            z_hi, omega_hi = L, INF
-        else:
-            z_hi = _bisect_crossing(lambda z: g(z) - gamma,
-                                    zetas[-1], L, wmap, refine_tol)
-            omega_hi = wmap.unwarp(z_hi)
+        z_lo, omega_lo = edge(idx, -1, 0.0)
+        z_hi, omega_hi = edge(idx, 1, L)
         # Peak: polish between the neighboring samples of the retained max.
         a = max(zetas[idx - 1] if idx > 0 else 0.0, z_lo)
         b = min(zetas[idx + 1] if idx + 1 < n else L, z_hi)
-        z_pk, phi_pk = _polish_peak(g, a, b)
-        omega_pk = wmap.unwarp(z_pk)
-        if phis[idx] > phi_pk:
-            omega_pk, phi_pk = wmap.unwarp(zetas[idx]), phis[idx]
-        if omega_hi == INF:
-            phi_inf = _finite(passivity_metric(model, INF), INF)
-            if phi_inf >= phi_pk:
-                omega_pk, phi_pk = INF, phi_inf
+        omega_pk, phi_pk = locate_peak(model, wmap, a, b,
+                                       best=(samples[idx][0], phis[idx]),
+                                       to_inf=omega_hi == INF)
         bands.append(ViolationBand(omega_lo=omega_lo, omega_hi=omega_hi,
                                    omega_peak=omega_pk, phi_peak=phi_pk))
     # Merge overlapping / touching bands.
     bands.sort(key=lambda b: b.omega_lo)
     merged = []
     for b in bands:
-        if merged and b.omega_lo <= merged[-1].omega_hi * (1 + refine_tol):
+        if merged and b.omega_lo <= merged[-1].omega_hi * (1 + DEFAULT_REFINE_TOL):
             prev = merged.pop()
             best = prev if prev.phi_peak >= b.phi_peak else b
             merged.append(ViolationBand(
@@ -265,8 +273,7 @@ def extract_bands(samples, model, wmap, retained, gamma=1.0,
     return merged
 
 
-def check_passivity(model: PoleResidueModel, mode, gamma=1.0,
-                    refine_tol=DEFAULT_REFINE_TOL) -> PassivityReport:
+def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport:
     """Full two-stage verification under a preset (or explicit ModePreset)."""
     problems = validate(model)
     if problems:
@@ -281,8 +288,7 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0,
     results = _run_subbands(model, wmap, config)
     samples = merge_samples(results, wmap)
     retained = postprocess_edge_maxima(samples, gamma=gamma)
-    bands = extract_bands(samples, model, wmap, retained, gamma=gamma,
-                          refine_tol=refine_tol)
+    bands = extract_bands(samples, model, wmap, retained, gamma=gamma)
     total_k = sum(r.eval_count for r in results)
     passive = not bands and all(s[2] <= gamma for s in samples)
     return PassivityReport(
@@ -297,19 +303,16 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0,
     )
 
 
-def dense_reference_check(model: PoleResidueModel, count, mode="hard",
-                          gamma=1.0):
-    """Brute-force sweep: count midpoint samples uniform in the warped axis.
+def dense_reference_check(model: PoleResidueModel, count):
+    """Brute-force sweep: count midpoints uniform in the hard-mode warped axis.
 
-    Returns (violation_found, worst_omega, worst_phi).
+    Returns (worst_phi > 1, worst_omega, worst_phi).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(mode, str):
-        mode = preset(mode)
-    wmap = build_warp_map(model, mode.warp_params)
+    wmap = build_warp_map(model, PRESETS["hard"].warp_params)
     zetas = (np.arange(count) + 0.5) * (wmap.L / count)
     omegas = wmap.unwarp_many(zetas)
     phis = passivity_metric_many(model, omegas)
     k = int(np.argmax(phis))
-    return bool(phis[k] > gamma), float(omegas[k]), float(phis[k])
+    return bool(phis[k] > 1.0), float(omegas[k]), float(phis[k])

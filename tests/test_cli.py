@@ -81,6 +81,20 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", "--model", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {**model_to_dict(siso(-1.0, 0.5)), "poles": [1.0]},
+        {**model_to_dict(siso(-1.0, 0.5)), "poles": [{"im": 0.0}]},
+        {**model_to_dict(siso(-1.0, 0.5)), "port_count": None},
+        5,
+    ], ids=["pole-not-object", "pole-without-re", "null-port-count", "not-object"])
+    def test_malformed_model_exit_two(self, tmp_path, capsys, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model ")
+        assert "Traceback" not in err
+
     def test_evaluator_failure_exit_two(self, passive_path, capsys, monkeypatch):
         import passcheck.verifier as verifier_mod
 

@@ -235,6 +235,45 @@ class TestOracleVerdict:
             assert found[0].omega_lo == 0.0
             assert found[0].omega_hi == pytest.approx(edge, rel=1e-9)
 
+    def test_narrow_resonance_peak_matches_adaptive(self):
+        # A Q = 5e4 resonance (phi 1.7648 near w = 100) on a broad real-pole
+        # response that peaks at 1.5 at dc: the band peak is the resonance.
+        pr = PoleResidueModel(
+            poles=(complex(-1e-3, 100.0), complex(-50.0)),
+            residues=(np.array([[5e-4]], dtype=complex),
+                      np.array([[15.0]], dtype=complex)),
+            is_pair=(True, False), direct_term=np.array([[1.2]]),
+            port_count=1, omega_max=120.0)
+        passive, bands = oracle_verdict(realize(pr), pr)
+        adaptive = check_passivity(pr, "hard").bands
+        assert not passive
+        peak = max(bands, key=lambda b: b.phi_peak)
+        assert peak.phi_peak == pytest.approx(
+            max(b.phi_peak for b in adaptive), rel=1e-9)
+        assert peak.phi_peak == pytest.approx(1.7648, abs=1e-4)
+        assert peak.omega_peak == pytest.approx(100.00004, abs=1e-6)
+
+    def test_band_peak_at_band_edges(self):
+        # H = diag(2/(s+1), 4.5/(s+3)): sigma_max > 1 up to sqrt(11.25).  At
+        # sqrt(3) the smaller singular value, |2/(jw+1)|, crosses 1 and splits
+        # the band.  Each band's maximum sits on its lower edge, which no
+        # open-midpoint sweep evaluates.
+        pr = PoleResidueModel(
+            poles=(complex(-1.0), complex(-3.0)),
+            residues=(np.diag([2.0, 0.0]).astype(complex),
+                      np.diag([0.0, 4.5]).astype(complex)),
+            is_pair=(False, False), direct_term=np.zeros((2, 2)),
+            port_count=2, omega_max=10.0)
+        passive, bands = oracle_verdict(realize(pr), pr)
+        assert not passive
+        r3 = math.sqrt(3.0)
+        assert len(bands) == 2
+        found = [getattr(b, k) for b in bands
+                 for k in ("omega_lo", "omega_hi", "omega_peak", "phi_peak")]
+        assert found == pytest.approx(
+            [0.0, r3, 0.0, 2.0, r3, math.sqrt(11.25), r3, 4.5 / math.sqrt(12.0)],
+            rel=1e-12)
+
     def test_verdict_matches_crossings(self):
         pr = siso_pr(-1.0, 0.5)
         prob = build_problem(realize(pr))
