@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .model import PoleResidueModel, save_model
-from .verifier import locate_peak, preset
+from .verifier import Evaluator, locate_peak, preset
 from .warp import build_warp_map
 
 DEFAULT_TARGETS = (0.8, 0.99, 1.001, 1.2)
@@ -56,7 +56,7 @@ def _random_model(rng, port_count, n_terms):
 def peak_metric(model):
     """(omega_at_max, max_phi) by warped dense sweep plus local polish."""
     wmap = build_warp_map(model, preset("hard").warp_params)
-    return locate_peak(model, wmap, 0.0, float(wmap.L), to_inf=True,
+    return locate_peak(Evaluator(model, wmap), 0.0, float(wmap.L), to_inf=True,
                        sweep=CALIBRATION_GRID)
 
 

@@ -117,8 +117,8 @@ def _band_peak(pr: PoleResidueModel, wmap, lo, hi):
     edges = [w for w in (lo, hi) if w < INF]
     phis = passivity_metric_many(pr, edges)
     k = int(np.argmax(phis))
-    return verifier.locate_peak(pr, wmap, wmap.warp(lo), wmap.warp(hi),
-                                best=(edges[k], float(phis[k])),
+    return verifier.locate_peak(verifier.Evaluator(pr, wmap), wmap.warp(lo),
+                                wmap.warp(hi), best=(edges[k], float(phis[k])),
                                 to_inf=hi == INF, sweep=BAND_GRID)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
 
@@ -58,6 +58,7 @@ class PassivityReport:
     mode: str
     wall_time: float
     gamma: float = 1.0
+    refine_evaluations: int = 0   # metric points after the search, not in K
 
     def to_dict(self, include_timing=True):
         doc = {
@@ -67,6 +68,7 @@ class PassivityReport:
             "mode": self.mode,
             "subband_count": self.subband_count,
             "total_evaluations": self.total_evaluations,
+            "refine_evaluations": self.refine_evaluations,
             "bands": [b.to_dict() for b in self.bands],
             "samples": [
                 {"omega": encode_num(w), "zeta": float(z), "phi": float(p), "subband": sb}
@@ -89,4 +91,5 @@ class PassivityReport:
             mode=doc["mode"],
             wall_time=float(doc.get("wall_time_s", 0.0)),
             gamma=float(doc.get("gamma", 1.0)),
+            refine_evaluations=int(doc.get("refine_evaluations", 0)),
         )

@@ -8,14 +8,13 @@ they remain refinement candidates, or a stop condition freezes them
 into the basket and the search restarts from the shallowest level.
 Budget overruns either escalate through a schedule (when everything
 looks passive but sits close to the threshold) or end the search.
+Values are normalized by the caller, so the threshold is 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-DEFAULT_GAMMA = 1.0
+from dataclasses import dataclass
 
 
 class EvaluatorError(RuntimeError):
@@ -38,7 +37,6 @@ class SearchConfig:
     rho_eps: float = 0.1
     budget_schedule: tuple = (7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
     basket_reuse: bool = False
-    gamma: float = DEFAULT_GAMMA
 
     def check(self):
         if self.M < 3 or self.M % 2 == 0:
@@ -66,7 +64,6 @@ class SubbandResult:
     theta_max: float
     zeta_at_max: float
     eval_count: int
-    gamma: float
     valid: bool = True
 
 
@@ -77,7 +74,7 @@ def stop_conditions(config: SearchConfig, h, children):
     theta_hat = max(children)
     s1 = child_res < config.delta_zeta
     s2 = delta < config.delta_theta
-    s3 = child_res < config.delta_eta and delta < abs(theta_hat - config.gamma)
+    s3 = child_res < config.delta_eta and delta < abs(theta_hat - 1.0)
     return s1, s2, s3
 
 
@@ -86,10 +83,10 @@ def budget_conditions(config: SearchConfig, epsilon, h, children):
     child_res = config.M ** (-h - 1)
     delta = max(abs(b - a) for a, b in zip(children, children[1:]))
     theta_hat = max(children)
-    u1 = theta_hat < config.gamma
-    rel = (config.gamma - theta_hat) / theta_hat if theta_hat > 0 else math.inf
+    u1 = theta_hat < 1.0
+    rel = (1.0 - theta_hat) / theta_hat if theta_hat > 0 else math.inf
     u2 = rel < epsilon
-    u3 = child_res < config.delta_eta and abs(config.gamma - theta_hat) < delta
+    u3 = child_res < config.delta_eta and abs(1.0 - theta_hat) < delta
     return u1, u2, u3
 
 
@@ -138,7 +135,7 @@ def steps(config: SearchConfig, trace=None):
             (cell_center(M, lev, i), val) for (lev, i), val in merged.items()
         )
         return SubbandResult(samples, leaves, theta_max, zeta_at_max,
-                             eval_count, config.gamma, valid=valid)
+                             eval_count, valid=valid)
 
     def evaluate(cells, level):
         """Yield the centres of ``cells`` at ``level``; note their values."""

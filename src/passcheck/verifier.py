@@ -7,14 +7,14 @@ call.  The evaluated samples are merged in global frequency order,
 local maxima above the threshold are retained (which drops spurious
 subband-edge maxima dominated by a neighbor across the boundary), and
 each retained maximum is grown into a violation band by bisecting the
-threshold crossings on either side.  A non-finite metric value raises
-``search.EvaluatorError``.
+threshold crossings on either side.  Every metric value comes from one
+``Evaluator``, which divides it by gamma, so that every stage works at
+threshold 1, and raises ``EvaluatorError`` on a non-finite value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ import scipy.optimize
 from . import search
 from .model import INF, PoleResidueModel, passivity_metric, passivity_metric_many, validate
 from .report import PassivityReport, ViolationBand
-from .search import SearchConfig, SubbandResult
-from .warp import WarpMap, WarpParams, build_warp_map
+from .search import EvaluatorError, SearchConfig
+from .warp import WarpParams, build_warp_map
 
 DEFAULT_REFINE_TOL = 1e-9
 
@@ -78,6 +78,38 @@ def preset(name: str) -> ModePreset:
         raise KeyError(f"unknown mode {name!r}; expected one of {sorted(PRESETS)}")
 
 
+class Evaluator:
+    """The metric sigma_max(H(j omega)) / gamma at warped coordinates zeta.
+
+    ``ev(zetas)`` returns ``(omegas, phis)`` from one batched kernel call,
+    ``ev.one(zeta)`` returns ``(omega, phi)`` from one scalar call.  Both
+    look the kernel up in this module when called, raise ``EvaluatorError``
+    on a non-finite value and add the points evaluated to ``points``.
+    """
+
+    def __init__(self, model, wmap, gamma=1.0):
+        self.model, self.wmap, self.gamma = model, wmap, gamma
+        self.points = 0
+
+    def __call__(self, zetas):
+        omegas = self.wmap.unwarp_many(zetas)
+        phis = passivity_metric_many(self.model, omegas) / self.gamma
+        self.points += len(omegas)
+        bad = np.flatnonzero(~np.isfinite(phis))
+        if bad.size:
+            raise EvaluatorError(
+                f"non-finite metric at omega={float(omegas[bad[0]])!r}")
+        return omegas, phis
+
+    def one(self, zeta):
+        omega = self.wmap.unwarp(zeta)
+        phi = passivity_metric(self.model, omega) / self.gamma
+        self.points += 1
+        if not math.isfinite(phi):
+            raise EvaluatorError(f"non-finite metric at omega={float(omega)!r}")
+        return omega, phi
+
+
 def _lockstep(L, config, evaluate):
     """Run L subband searches in lockstep; one ``evaluate`` call per round.
 
@@ -105,34 +137,6 @@ def _lockstep(L, config, evaluate):
             start += len(ts)
         requests = pending
     return results
-
-
-def _finite(phi, omega):
-    """Return ``phi`` if finite, else raise a named evaluation error."""
-    if not math.isfinite(phi):
-        raise search.EvaluatorError(
-            f"non-finite metric at omega={float(omega)!r}")
-    return phi
-
-
-def _warped_phi(model, wmap, z):
-    """The metric at zeta; a non-finite value raises."""
-    omega = wmap.unwarp(z)
-    return _finite(passivity_metric(model, omega), omega)
-
-
-def _run_subbands(model, wmap, config):
-    """Every subband's search, advanced in lockstep, in subband order."""
-
-    def evaluate(zetas):
-        omegas = wmap.unwarp_many(zetas)
-        phis = passivity_metric_many(model, omegas)
-        bad = np.flatnonzero(~np.isfinite(phis))
-        if bad.size:
-            _finite(phis[bad[0]], omegas[bad[0]])
-        return phis
-
-    return _lockstep(wmap.L, config, evaluate)
 
 
 def merge_samples(results, wmap):
@@ -170,20 +174,20 @@ def postprocess_edge_maxima(samples, gamma=1.0):
     return retained
 
 
-def _bisect_crossing(g, a, b, wmap):
-    """Zeta of the gamma crossing bracketed by g(a) > 0 > g(b) or vice versa.
+def _bisect_crossing(ev, a, b):
+    """Zeta of the threshold crossing of ``ev`` between a and b.
 
     Bisection runs in the warped coordinate; convergence is judged on the
     relative width of the unwarped bracket.
     """
-    ga = g(a)
+    sign = 1 if ev.one(a)[1] - 1.0 > 0 else -1
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if g(mid) * (1 if ga > 0 else -1) > 0:
+        if (ev.one(mid)[1] - 1.0) * sign > 0:
             a = mid
         else:
             b = mid
-        wa, wb = wmap.unwarp(min(a, b)), wmap.unwarp(max(a, b))
+        wa, wb = ev.wmap.unwarp(min(a, b)), ev.wmap.unwarp(max(a, b))
         if math.isfinite(wb) and wb - wa <= DEFAULT_REFINE_TOL * max(wb, 1e-300):
             break
         if abs(b - a) <= 1e-16:
@@ -191,54 +195,52 @@ def _bisect_crossing(g, a, b, wmap):
     return 0.5 * (a + b)
 
 
-def locate_peak(model, wmap, a, b, best=None, to_inf=False, sweep=0):
-    """(omega, phi) of the metric's peak over the warped interval [a, b].
+def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
+    """(omega, phi) of the ``Evaluator``'s peak over the warped interval [a, b].
 
     With ``sweep`` > 0, that many midpoints of [a, b] are evaluated in one
-    batched call and the polish is bracketed by the midpoints next to
-    their maximum; otherwise the polish runs on all of [a, b].  The bounded
-    polish wins a tie against the best sample, which is the sweep maximum
-    or ``best``, an (omega, phi) sample the caller already holds.  When
-    ``to_inf``, omega = inf is probed last and wins a tie.
+    batched call and the polish is bracketed by the neighbours (midpoints
+    or interval ends) of their maximum; otherwise it runs on all of [a, b].
+    The bounded polish wins a tie against the best sample, which is the
+    sweep maximum or ``best``, an (omega, phi) sample the caller already
+    holds.  When ``to_inf``, omega = inf is probed last and wins a tie.
     """
     if sweep:
         zetas = a + (np.arange(sweep) + 0.5) * ((b - a) / sweep)
-        omegas = wmap.unwarp_many(zetas)
-        phis = passivity_metric_many(model, omegas)
+        omegas, phis = ev(zetas)
         k = int(np.argmax(phis))
         if best is None or phis[k] > best[1]:
             best = (float(omegas[k]), float(phis[k]))
-        a, b = zetas[max(k - 1, 0)], zetas[min(k + 1, sweep - 1)]
+        a, b = zetas[k - 1] if k else a, zetas[k + 1] if k + 1 < sweep else b
     if b > a:
         res = scipy.optimize.minimize_scalar(
-            lambda z: -_warped_phi(model, wmap, z), bounds=(a, b), method="bounded",
+            lambda z: -ev.one(z)[1], bounds=(a, b), method="bounded",
             options={"xatol": 1e-14 * max(b - a, 1.0), "maxiter": 500})
-        omega, phi = wmap.unwarp(float(res.x)), float(-res.fun)
+        omega, phi = ev.wmap.unwarp(float(res.x)), float(-res.fun)
     else:
-        omega, phi = wmap.unwarp(a), _warped_phi(model, wmap, a)
+        omega, phi = ev.one(a)
     if best is not None and best[1] > phi:
         omega, phi = best
     if to_inf:
-        phi_inf = _finite(passivity_metric(model, INF), INF)
+        omega_inf, phi_inf = ev.one(ev.wmap.L)
         if phi_inf >= phi:
-            omega, phi = INF, phi_inf
+            omega, phi = omega_inf, phi_inf
     return omega, phi
 
 
-def extract_bands(samples, model, wmap, retained, gamma=1.0):
-    """Grow each retained maximum into a refined violation band."""
-    g = functools.partial(_warped_phi, model, wmap)
+def extract_bands(samples, ev, retained):
+    """Grow each retained maximum into a refined band, at threshold 1."""
+    wmap = ev.wmap
 
     def edge(idx, step, end):
         """(zeta, omega) of the band edge from ``idx`` towards ``end``, 0 or L."""
         k = idx
-        while 0 <= k < n and phis[k] > gamma:
+        while 0 <= k < n and phis[k] > 1.0:
             k += step
         inside = 0 <= k < n
-        if not inside and g(end) > gamma:
+        if not inside and ev.one(end)[1] > 1.0:
             return end, wmap.unwarp(end)
-        z = _bisect_crossing(lambda z: g(z) - gamma, zetas[k - step],
-                             zetas[k] if inside else end, wmap)
+        z = _bisect_crossing(ev, zetas[k - step], zetas[k] if inside else end)
         return z, wmap.unwarp(z)
 
     L = float(wmap.L)
@@ -252,7 +254,7 @@ def extract_bands(samples, model, wmap, retained, gamma=1.0):
         # Peak: polish between the neighboring samples of the retained max.
         a = max(zetas[idx - 1] if idx > 0 else 0.0, z_lo)
         b = min(zetas[idx + 1] if idx + 1 < n else L, z_hi)
-        omega_pk, phi_pk = locate_peak(model, wmap, a, b,
+        omega_pk, phi_pk = locate_peak(ev, a, b,
                                        best=(samples[idx][0], phis[idx]),
                                        to_inf=omega_hi == INF)
         bands.append(ViolationBand(omega_lo=omega_lo, omega_hi=omega_hi,
@@ -282,21 +284,19 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
         mode = preset(mode)
     t0 = time.perf_counter()
     wmap = build_warp_map(model, mode.warp_params)
-    config = mode.search_config
-    if config.gamma != gamma:
-        config = dataclasses.replace(config, gamma=gamma)
-    results = _run_subbands(model, wmap, config)
+    ev = Evaluator(model, wmap, gamma)
+    results = _lockstep(wmap.L, mode.search_config, lambda zetas: ev(zetas)[1])
+    total_k = ev.points
     samples = merge_samples(results, wmap)
-    retained = postprocess_edge_maxima(samples, gamma=gamma)
-    bands = extract_bands(samples, model, wmap, retained, gamma=gamma)
-    total_k = sum(r.eval_count for r in results)
-    passive = not bands and all(s[2] <= gamma for s in samples)
+    bands = extract_bands(samples, ev, postprocess_edge_maxima(samples))
+    passive = not bands and all(s[2] <= 1.0 for s in samples)
     return PassivityReport(
         passive=passive,
-        bands=bands,
+        bands=[dataclasses.replace(b, phi_peak=b.phi_peak * gamma) for b in bands],
         subband_count=wmap.L,
         total_evaluations=total_k,
-        samples=samples,
+        refine_evaluations=ev.points - total_k,
+        samples=[(w, z, phi * gamma, sb) for w, z, phi, sb in samples],
         mode=mode.name,
         wall_time=time.perf_counter() - t0,
         gamma=gamma,
@@ -311,8 +311,6 @@ def dense_reference_check(model: PoleResidueModel, count):
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     wmap = build_warp_map(model, PRESETS["hard"].warp_params)
-    zetas = (np.arange(count) + 0.5) * (wmap.L / count)
-    omegas = wmap.unwarp_many(zetas)
-    phis = passivity_metric_many(model, omegas)
+    omegas, phis = Evaluator(model, wmap)((np.arange(count) + 0.5) * (wmap.L / count))
     k = int(np.argmax(phis))
     return bool(phis[k] > 1.0), float(omegas[k]), float(phis[k])

@@ -8,8 +8,9 @@ import pytest
 from passcheck.cli import classify, compare_model, main
 from passcheck.corpus import generate_corpus, peak_metric, scaled_to_target
 from passcheck.model import (PoleResidueModel, load_model, model_to_dict,
-                             passivity_metric, save_model)
+                             passivity_metric, passivity_metric_many, save_model)
 from passcheck.report import PassivityReport
+from passcheck.search import EvaluatorError
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -206,6 +207,19 @@ class TestGenCorpus:
         assert phi == pytest.approx(1.2, rel=1e-6)
         assert factor > 0
 
+    def test_calibration_rejects_non_finite_sweep(self, monkeypatch):
+        import passcheck.verifier as verifier_mod
+
+        def one_nan(model, omegas):
+            phis = passivity_metric_many(model, omegas)
+            if len(phis) > 1:
+                phis[len(phis) // 2] = np.nan
+            return phis
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many", one_nan)
+        with pytest.raises(EvaluatorError, match="non-finite metric at omega="):
+            peak_metric(siso(-1.0, 0.5))
+
     def test_cli_gen_corpus(self, tmp_path, capsys):
         out = tmp_path / "corpus"
         assert main(["gen-corpus", "--seed", "5", "--out", str(out),
@@ -224,3 +238,17 @@ class TestDenseCheckCommand:
         assert main(["dense-check", "--model", violating_path,
                      "--count", "1000"]) == 1
         assert "NON-PASSIVE" in capsys.readouterr().out
+
+    def test_non_finite_metric_exit_two(self, tmp_path, capsys):
+        # A finite model whose H(j omega) overflows near omega = 0.
+        path = tmp_path / "overflow.json"
+        save_model(PoleResidueModel(
+            poles=(-1 + 0j, -2 + 0j),
+            residues=(np.array([[1.7e308]], dtype=complex),) * 2,
+            is_pair=(False, False), direct_term=np.array([[0.0]]),
+            port_count=1, omega_max=10.0), path)
+        assert main(["dense-check", "--model", str(path),
+                     "--count", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: metric evaluation failed: non-finite metric at omega=")

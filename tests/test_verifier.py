@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import passcheck.verifier as verifier_mod
-from passcheck import search
+from passcheck import corpus, search
 from passcheck.model import INF, PoleResidueModel, passivity_metric, passivity_metric_many
 from passcheck.report import PassivityReport, ViolationBand
 from passcheck.search import EvaluatorError, SearchConfig
@@ -154,6 +155,13 @@ class TestCheckPassivity:
         # band refinement would add calls; passive run has none
         assert report.passive
         assert calls[0] == report.total_evaluations
+        assert report.refine_evaluations == 0
+
+        # A violating model: refinement points are counted apart from K.
+        calls[0] = 0
+        report = check_passivity(siso(-1.0, 2.0), mode="hard")
+        assert not report.passive and report.refine_evaluations > 0
+        assert calls[0] == report.total_evaluations + report.refine_evaluations
 
     def test_non_finite_refine_metric_raises(self, monkeypatch):
         # The search sees finite values; the band refinement gets NaN.
@@ -171,6 +179,26 @@ class TestCheckPassivity:
         assert not report.passive
         assert report.gamma == 0.4
         assert report.bands[0].phi_peak == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard", "final"])
+    def test_gamma_scales_the_metric_only(self, mode):
+        # Doubling residues and D doubles H exactly, so checking 2m at
+        # gamma = 2 must sample, stop and refine exactly as m at gamma = 1.
+        m = corpus._random_model(np.random.default_rng(10), 2, 6)
+        m2 = dataclasses.replace(m, residues=tuple(2.0 * r for r in m.residues),
+                                 direct_term=2.0 * m.direct_term)
+        a = check_passivity(m, mode)
+        b = check_passivity(m2, mode, gamma=2.0)
+        assert b.total_evaluations == a.total_evaluations
+        assert b.refine_evaluations == a.refine_evaluations
+        assert b.passive == a.passive
+        assert [(w, z, sb) for w, z, _, sb in b.samples] == \
+            [(w, z, sb) for w, z, _, sb in a.samples]
+        assert [s[2] for s in b.samples] == [2.0 * s[2] for s in a.samples]
+        assert [(x.omega_lo, x.omega_hi, x.omega_peak, x.phi_peak)
+                for x in b.bands] == \
+            [(x.omega_lo, x.omega_hi, x.omega_peak, 2.0 * x.phi_peak)
+             for x in a.bands]
 
     def test_verdict_consistent_with_samples(self):
         rng = np.random.default_rng(41)
@@ -195,6 +223,14 @@ class TestCheckPassivity:
         assert back.passive == report.passive
         assert back.total_evaluations == report.total_evaluations
         assert [b.to_dict() for b in back.bands] == [b.to_dict() for b in report.bands]
+
+    def test_refine_evaluations_round_trip(self):
+        doc = check_passivity(siso(-1.0, 2.0), mode="hard").to_dict()
+        assert doc["refine_evaluations"] > 0
+        assert PassivityReport.from_dict(doc).refine_evaluations == \
+            doc["refine_evaluations"]
+        del doc["refine_evaluations"]
+        assert PassivityReport.from_dict(doc).refine_evaluations == 0
 
     def test_repeat_runs_identical_without_timing(self):
         a = check_passivity(siso(-1.0, 2.0), mode="final")
@@ -269,7 +305,8 @@ class TestLockstep:
             return passivity_metric_many(m, ws)
 
         monkeypatch.setattr(verifier_mod, "passivity_metric_many", counting_many)
-        results = verifier_mod._run_subbands(model, wmap, config)
+        ev = verifier_mod.Evaluator(model, wmap)
+        results = verifier_mod._lockstep(wmap.L, config, lambda zetas: ev(zetas)[1])
         assert len(calls) <= max(steps)
         assert sum(calls) == sum(r.eval_count for r in results)
 
@@ -302,6 +339,18 @@ class TestPoleFree:
         assert not report.passive
         assert report.bands == [ViolationBand(omega_lo=0.0, omega_hi=INF,
                                               omega_peak=INF, phi_peak=1.5)]
+
+
+class TestLocatePeak:
+    def test_peak_at_interval_end(self):
+        # 2/(s+1) peaks at omega = 0, the left end of the swept interval,
+        # below the first of the eight sweep midpoints.
+        model = siso(-1.0, 2.0)
+        wmap = build_warp_map(model, PRESETS["hard"].warp_params)
+        ev = verifier_mod.Evaluator(model, wmap)
+        omega, phi = verifier_mod.locate_peak(ev, 0.0, float(wmap.L), sweep=8)
+        assert phi == pytest.approx(2.0, abs=1e-12)
+        assert omega < 1e-6
 
 
 class TestDenseReferenceCheck:
