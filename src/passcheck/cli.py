@@ -81,7 +81,7 @@ def compare_model(model, mode="hard", dense_count=10 ** 6):
     label = classify(report.passive, oracle_passive)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "mode": mode if isinstance(mode, str) else mode.name,
+        "mode": mode,
         "adaptive_passive": report.passive,
         "oracle_passive": oracle_passive,
         "classification": label,

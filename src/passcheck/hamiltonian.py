@@ -26,7 +26,8 @@ from .warp import build_warp_map
 # ill-conditioned and the extended pencil is used instead.
 D_SWITCH_TOL = 1e-4
 
-DEFAULT_IMAG_TOL = 1e-8
+# Relative |Re| below which an eigenvalue counts as purely imaginary.
+IMAG_TOL = 1e-8
 MAX_DENSE_DIM = 4000
 # Warped midpoints swept per oracle band before the peak is polished.
 BAND_GRID = 1024
@@ -50,7 +51,6 @@ class HamiltonianProblem:
 @dataclass(frozen=True)
 class CrossingSet:
     frequencies: tuple
-    imag_tol: float
 
 
 def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
@@ -84,20 +84,18 @@ def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
 
 
 def imaginary_crossings(problem: HamiltonianProblem,
-                        imag_tol=DEFAULT_IMAG_TOL,
-                        dedup_tol=0.0,
-                        max_dim=MAX_DENSE_DIM) -> CrossingSet:
+                        dedup_tol=0.0) -> CrossingSet:
     """Non-negative crossing frequencies from the (generalized) spectrum."""
-    if problem.dim > max_dim:
+    if problem.dim > MAX_DENSE_DIM:
         raise OracleUnavailable(
-            f"oracle unavailable at this scale: dim {problem.dim} > {max_dim}"
+            f"oracle unavailable at this scale: dim {problem.dim} > {MAX_DENSE_DIM}"
         )
     if problem.kind == "full":
         eigs = scipy.linalg.eigvals(problem.matrix)
     else:
         eigs = scipy.linalg.eigvals(*problem.pencil)
     eigs = eigs[np.isfinite(eigs)]
-    imag = eigs[np.abs(eigs.real) <= imag_tol * np.maximum(1.0, np.abs(eigs))]
+    imag = eigs[np.abs(eigs.real) <= IMAG_TOL * np.maximum(1.0, np.abs(eigs))]
     freqs = np.sort(imag.imag[imag.imag >= 0.0])
     if dedup_tol > 0 and freqs.size:
         kept = [freqs[0]]
@@ -105,8 +103,7 @@ def imaginary_crossings(problem: HamiltonianProblem,
             if w - kept[-1] > dedup_tol:
                 kept.append(w)
         freqs = np.asarray(kept)
-    return CrossingSet(frequencies=tuple(float(w) for w in freqs),
-                       imag_tol=imag_tol)
+    return CrossingSet(frequencies=tuple(float(w) for w in freqs))
 
 
 def _band_peak(pr: PoleResidueModel, wmap, lo, hi):

@@ -96,7 +96,6 @@ class StateSpaceModel:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    state_order: int
 
     def __post_init__(self):
         for name in "ABCD":
@@ -107,6 +106,10 @@ class StateSpaceModel:
     @property
     def port_count(self):
         return self.D.shape[0]
+
+    @property
+    def state_order(self):
+        return self.A.shape[0]
 
 
 def validate(model: PoleResidueModel):
@@ -215,8 +218,7 @@ def realize(model: PoleResidueModel) -> StateSpaceModel:
         A = np.zeros((0, 0))
         B = np.zeros((0, P))
         C = np.zeros((P, 0))
-    return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term.copy(),
-                           state_order=A.shape[0])
+    return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term.copy())
 
 
 def ss_transfer(ss: StateSpaceModel, omega):

@@ -1,19 +1,19 @@
-"""Two-stage passivity verification: warp, per-subband search, merge.
+"""Two-stage passivity verification: warp, per-subband search, bands.
 
 Each subband of the warped axis gets an independent tree search.  The
 searches advance in lockstep: every round gathers the points all
 unfinished searches ask for and evaluates them in one batched kernel
-call.  The evaluated samples are merged in global frequency order,
-local maxima above the threshold are retained (which drops spurious
-subband-edge maxima dominated by a neighbor across the boundary), and
-each retained maximum is grown into a violation band by bisecting the
-threshold crossings on either side.  Every metric value comes from one
-``Evaluator``, which divides it by gamma, so that every stage works at
-threshold 1, and raises ``EvaluatorError`` on a non-finite value.
+call.  The subbands' samples, concatenated, are in global frequency
+order, and each hot run (maximal run of samples above the threshold) is
+one violation band with bisected edges and a polished peak.  Every
+metric value comes from one ``Evaluator``, which divides it by gamma,
+so that every stage works at threshold 1, and raises ``EvaluatorError``
+on a non-finite value.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import time
@@ -140,18 +140,19 @@ def _lockstep(L, config, evaluate):
 
 
 def merge_samples(results, wmap):
-    """Global (omega, zeta, phi, subband) list sorted by zeta, deduplicated."""
-    first = {}
-    for ell, res in enumerate(results):
-        for z, v in res.samples:
-            first.setdefault(ell + z, (v, ell))
-    zetas = sorted(first)
-    omegas = wmap.unwarp_many(zetas).tolist()
-    return [(w, gz, *first[gz]) for w, gz in zip(omegas, zetas)]
+    """Global (omega, zeta, phi, subband) list in zeta order.
+
+    Each subband's samples are sorted cell centres strictly inside (0, 1),
+    so their concatenation in subband order is sorted and duplicate-free.
+    """
+    merged = [(ell + z, v, ell) for ell, res in enumerate(results)
+              for z, v in res.samples]
+    omegas = wmap.unwarp_many([m[0] for m in merged]).tolist()
+    return [(w, *m) for w, m in zip(omegas, merged)]
 
 
-def postprocess_edge_maxima(samples, gamma=1.0):
-    """Indices of retained local maxima with phi > gamma.
+def postprocess_edge_maxima(samples):
+    """Indices of retained local maxima with phi > 1.
 
     Maxima are judged on the merged global ordering, so a violating
     sample at a subband edge survives only if it dominates its neighbors
@@ -168,22 +169,21 @@ def postprocess_edge_maxima(samples, gamma=1.0):
             j += 1
         left_ok = i == 0 or vals[i - 1] < vals[i]
         right_ok = j == n - 1 or vals[j + 1] < vals[i]
-        if left_ok and right_ok and vals[i] > gamma:
+        if left_ok and right_ok and vals[i] > 1.0:
             retained.append(i)
         i = j + 1
     return retained
 
 
 def _bisect_crossing(ev, a, b):
-    """Zeta of the threshold crossing of ``ev`` between a and b.
+    """Zeta of the threshold crossing of ``ev`` between hot a and cold b.
 
     Bisection runs in the warped coordinate; convergence is judged on the
     relative width of the unwarped bracket.
     """
-    sign = 1 if ev.one(a)[1] - 1.0 > 0 else -1
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if (ev.one(mid)[1] - 1.0) * sign > 0:
+        if ev.one(mid)[1] > 1.0:
             a = mid
         else:
             b = mid
@@ -229,59 +229,59 @@ def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
 
 
 def extract_bands(samples, ev, retained):
-    """Grow each retained maximum into a refined band, at threshold 1."""
+    """One band per hot run (maximal run of samples with phi > 1).
+
+    Each run holds a ``retained`` maximum.  Its two edges are bisected once
+    from the known hot and cold samples; its peak is the best polish of
+    its retained maxima (the first on a tie), or the end L if not below it.
+    """
     wmap = ev.wmap
-
-    def edge(idx, step, end):
-        """(zeta, omega) of the band edge from ``idx`` towards ``end``, 0 or L."""
-        k = idx
-        while 0 <= k < n and phis[k] > 1.0:
-            k += step
-        inside = 0 <= k < n
-        if not inside and ev.one(end)[1] > 1.0:
-            return end, wmap.unwarp(end)
-        z = _bisect_crossing(ev, zetas[k - step], zetas[k] if inside else end)
-        return z, wmap.unwarp(z)
-
     L = float(wmap.L)
     zetas = [s[1] for s in samples]
     phis = [s[2] for s in samples]
     n = len(phis)
+
+    def edge(k, j, end):
+        """(zeta, phi at ``end`` or None) of the edge between hot sample k
+        and its cold neighbour j, or ``end`` (0 or L) if j is out of range."""
+        if 0 <= j < n:
+            return _bisect_crossing(ev, zetas[k], zetas[j]), None
+        phi_end = ev.one(end)[1]
+        if phi_end > 1.0:
+            return end, phi_end
+        return _bisect_crossing(ev, zetas[k], end), phi_end
+
     bands = []
-    for idx in retained:
-        z_lo, omega_lo = edge(idx, -1, 0.0)
-        z_hi, omega_hi = edge(idx, 1, L)
-        # Peak: polish between the neighboring samples of the retained max.
-        a = max(zetas[idx - 1] if idx > 0 else 0.0, z_lo)
-        b = min(zetas[idx + 1] if idx + 1 < n else L, z_hi)
-        omega_pk, phi_pk = locate_peak(ev, a, b,
-                                       best=(samples[idx][0], phis[idx]),
-                                       to_inf=omega_hi == INF)
-        bands.append(ViolationBand(omega_lo=omega_lo, omega_hi=omega_hi,
+    first = 0
+    while first < len(retained):
+        lo = hi = retained[first]
+        while lo > 0 and phis[lo - 1] > 1.0:
+            lo -= 1
+        while hi + 1 < n and phis[hi + 1] > 1.0:
+            hi += 1
+        last = bisect.bisect_right(retained, hi, first)
+        z_lo, _ = edge(lo, lo - 1, 0.0)
+        z_hi, phi_end = edge(hi, hi + 1, L)
+        omega_pk, phi_pk = max(
+            (locate_peak(ev, max(zetas[i - 1] if i else 0.0, z_lo),
+                         min(zetas[i + 1] if i + 1 < n else L, z_hi),
+                         best=(samples[i][0], phis[i]))
+             for i in retained[first:last]), key=lambda peak: peak[1])
+        if z_hi == L and phi_end >= phi_pk:
+            omega_pk, phi_pk = INF, phi_end
+        bands.append(ViolationBand(omega_lo=wmap.unwarp(z_lo),
+                                   omega_hi=wmap.unwarp(z_hi),
                                    omega_peak=omega_pk, phi_peak=phi_pk))
-    # Merge overlapping / touching bands.
-    bands.sort(key=lambda b: b.omega_lo)
-    merged = []
-    for b in bands:
-        if merged and b.omega_lo <= merged[-1].omega_hi * (1 + DEFAULT_REFINE_TOL):
-            prev = merged.pop()
-            best = prev if prev.phi_peak >= b.phi_peak else b
-            merged.append(ViolationBand(
-                omega_lo=prev.omega_lo,
-                omega_hi=max(prev.omega_hi, b.omega_hi),
-                omega_peak=best.omega_peak, phi_peak=best.phi_peak))
-        else:
-            merged.append(b)
-    return merged
+        first = last
+    return bands
 
 
 def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport:
-    """Full two-stage verification under a preset (or explicit ModePreset)."""
+    """Full two-stage verification under the preset named ``mode``."""
     problems = validate(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
-    if isinstance(mode, str):
-        mode = preset(mode)
+    mode = preset(mode)
     t0 = time.perf_counter()
     wmap = build_warp_map(model, mode.warp_params)
     ev = Evaluator(model, wmap, gamma)
@@ -289,9 +289,8 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
     total_k = ev.points
     samples = merge_samples(results, wmap)
     bands = extract_bands(samples, ev, postprocess_edge_maxima(samples))
-    passive = not bands and all(s[2] <= 1.0 for s in samples)
     return PassivityReport(
-        passive=passive,
+        passive=not bands,
         bands=[dataclasses.replace(b, phi_peak=b.phi_peak * gamma) for b in bands],
         subband_count=wmap.L,
         total_evaluations=total_k,

@@ -103,8 +103,8 @@ class ControlPointSet:
         return len(self.points) - 1
 
 
-def assemble_control_points(candidates, params: WarpParams, omega_max,
-                            state_order, p_max, protected=()):
+def assemble_control_points(candidates, params: WarpParams, state_order,
+                            p_max, protected=()):
     """Sort, deduplicate and thin candidates into a control-point chain.
 
     Consecutive points closer than dw = p_max / (N * rho) are merged
@@ -129,7 +129,7 @@ def build_control_points(model, params: WarpParams) -> ControlPointSet:
     cands = pole_samples(model.poles, params, model.omega_max)
     tails = tail_samples(model.omega_max, params)
     return assemble_control_points(
-        cands + tails, params, model.omega_max,
+        cands + tails, params,
         state_order=model.n_terms * model.port_count,
         p_max=model.p_max,
         protected=tuple(t for t in tails if math.isfinite(t)),
@@ -143,6 +143,8 @@ class WarpMap:
         self.control_points = control_points
         self._finite = control_points.points[:-1]  # w_0 .. w_{L-1}
         self.L = control_points.subband_count
+        self._pts = np.array(self._finite)
+        self._ells = np.arange(self.L, dtype=float)
 
     def warp(self, omega):
         if omega == INF:
@@ -169,20 +171,12 @@ class WarpMap:
         return pts[ell] + frac * (pts[ell + 1] - pts[ell])
 
     def unwarp_many(self, zetas):
-        """Vectorized inverse map; zeta == L maps to inf."""
+        """Vectorized inverse map, bit-equal to ``unwarp``; L maps to inf."""
         z = np.asarray(zetas, dtype=float)
-        pts = np.asarray(self._finite)
-        ell = np.clip(np.floor(z).astype(int), 0, self.L - 1)
-        frac = z - ell
-        out = np.empty_like(z)
-        inner = ell < self.L - 1
-        out[inner] = pts[ell[inner]] + frac[inner] * (
-            pts[ell[inner] + 1] - pts[ell[inner]]
-        )
-        lastband = ~inner
+        out = np.interp(z, self._ells, self._pts)
+        last = z >= self.L - 1
         with np.errstate(divide="ignore"):
-            out[lastband] = pts[-1] / (1.0 - frac[lastband])
-        out[z == self.L] = INF
+            out[last] = self._pts[-1] / (1.0 - (z[last] - (self.L - 1)))
         return out
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from passcheck import hamiltonian
 from passcheck.hamiltonian import (CrossingSet, HamiltonianProblem,
                                    OracleUnavailable, build_problem,
                                    imaginary_crossings, oracle_verdict)
@@ -13,8 +14,7 @@ from passcheck.verifier import check_passivity
 
 def siso_ss(a, b, c, d):
     return StateSpaceModel(A=np.array([[a]], float), B=np.array([[b]], float),
-                           C=np.array([[c]], float), D=np.array([[d]], float),
-                           state_order=1)
+                           C=np.array([[c]], float), D=np.array([[d]], float))
 
 
 def siso_pr(pole, residue, direct=0.0, omega_max=10.0):
@@ -146,13 +146,14 @@ class TestImaginaryCrossings:
         assert wf.size == wp.size
         np.testing.assert_allclose(wp, wf, rtol=1e-6, atol=1e-9)
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
         prob = build_problem(siso_ss(-1.0, 1.0, 2.0, 0.0))
+        monkeypatch.setattr(hamiltonian, "MAX_DENSE_DIM", 1)
         with pytest.raises(OracleUnavailable):
-            imaginary_crossings(prob, max_dim=1)
+            imaginary_crossings(prob)
 
     def test_dedup(self):
-        cs = CrossingSet(frequencies=(1.0, 2.0), imag_tol=1e-8)
+        cs = CrossingSet(frequencies=(1.0, 2.0))
         assert list(cs.frequencies) == [1.0, 2.0]
 
 

@@ -89,11 +89,6 @@ class TestEdgeMaxima:
         samples = [(0.1, 0.1, 1.4, 0), (0.2, 0.2, 1.2, 0), (0.3, 0.3, 1.3, 0)]
         assert postprocess_edge_maxima(samples) == [0, 2]
 
-    def test_custom_gamma(self):
-        samples = [(0.1, 0.1, 0.4, 0), (0.2, 0.2, 0.6, 0), (0.3, 0.3, 0.4, 0)]
-        assert postprocess_edge_maxima(samples, gamma=0.5) == [1]
-        assert postprocess_edge_maxima(samples, gamma=0.7) == []
-
 
 class TestMergeSamples:
     def test_order_and_dedup(self):
@@ -236,6 +231,61 @@ class TestCheckPassivity:
         a = check_passivity(siso(-1.0, 2.0), mode="final")
         b = check_passivity(siso(-1.0, 2.0), mode="final")
         assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
+
+
+class TestExtractBands:
+    """Each hot run of samples (phi > 1 in a row) is one band."""
+
+    @staticmethod
+    def two_peaks():
+        # Resonances at 10 and 12 rad/s; the metric dips to about 1.21
+        # between them, so one hot run holds two retained maxima.
+        poles = (complex(-1.0, 10.0), complex(-1.0, 12.0))
+        return PoleResidueModel(
+            poles=poles,
+            residues=tuple(np.array([[1.2]], dtype=complex) for _ in poles),
+            is_pair=(True, True), direct_term=np.array([[0.0]]),
+            port_count=1, omega_max=30.0)
+
+    def test_one_band_and_two_bisections_per_hot_run(self, monkeypatch):
+        calls = []
+        bisect_crossing = verifier_mod._bisect_crossing
+
+        def counting(ev, a, b):
+            calls.append((a, b))
+            return bisect_crossing(ev, a, b)
+
+        monkeypatch.setattr(verifier_mod, "_bisect_crossing", counting)
+        model = self.two_peaks()
+        report = check_passivity(model, mode="hard")
+        hot = [i for i, s in enumerate(report.samples) if s[2] > 1.0]
+        assert hot == list(range(hot[0], hot[-1] + 1))
+        assert len(postprocess_edge_maxima(report.samples)) == 2
+        assert len(report.bands) == 1
+        assert len(calls) == 2
+        band = report.bands[0]
+        assert band.omega_lo < 10.0 < 12.0 < band.omega_hi
+        assert passivity_metric(model, band.omega_lo) == pytest.approx(1.0, abs=1e-8)
+        assert passivity_metric(model, band.omega_hi) == pytest.approx(1.0, abs=1e-8)
+        assert band.phi_peak >= max(s[2] for s in report.samples)
+        assert band.omega_peak == pytest.approx(12.0, rel=0.05)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard", "final"])
+    def test_refinement_never_evaluates_a_sample(self, monkeypatch, mode):
+        seen = []
+        one = verifier_mod.Evaluator.one
+
+        def recording(ev, zeta):
+            seen.append(zeta)
+            return one(ev, zeta)
+
+        monkeypatch.setattr(verifier_mod.Evaluator, "one", recording)
+        for model in (self.two_peaks(), siso(-1.0, 2.0),
+                      resonant(damping=0.02, w0=10.0, residue_scale=1.2)):
+            seen.clear()
+            report = check_passivity(model, mode)
+            assert report.bands and seen
+            assert not set(seen) & {s[1] for s in report.samples}
 
 
 class TestLockstep:

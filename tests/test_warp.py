@@ -22,10 +22,9 @@ class TestPoleSamples:
         assert sorted(out) == pytest.approx([9.0, 10.0, 11.0])
 
     def test_real_pole_r2(self):
-        # High-precision tangent as independent check of the formula.
-        from mpmath import mp, tan, pi
-        mp.dps = 30
-        expected = sorted(float(5 * tan(r * pi / 6)) for r in (0, 1, 2))
+        # Closed-form tangents as independent check of the formula:
+        # tan(pi/6) = 1/sqrt(3), tan(pi/3) = sqrt(3).
+        expected = [0.0, 5 / math.sqrt(3), 5 * math.sqrt(3)]
         out = pole_samples([complex(-5, 0)], WarpParams(R_rp=2), omega_max=100.0)
         assert sorted(out) == pytest.approx(expected, rel=1e-12)
         assert sorted(out)[1] == pytest.approx(2.8867513, rel=1e-6)
@@ -74,40 +73,40 @@ class TestAssemble:
         # delta_omega = p_max / (N * rho) = 1 / (10 * 1e3) * 1e-1 ... pick values
         # giving 1e-4: p_max=1, N=10, rho=1e3 -> 1e-4.
         cps = assemble_control_points([0.0, 1e-9, 1.0, INF],
-                                      WarpParams(rho=1e3), omega_max=1.0,
+                                      WarpParams(rho=1e3),
                                       state_order=10, p_max=1.0)
         assert cps.points == (0.0, 1.0, INF)
 
     def test_rho_inf_keeps_all(self):
         cands = [0.0, 1e-9, 1e-8, 0.5, 1.0, INF]
         cps = assemble_control_points(cands, WarpParams(rho=INF),
-                                      omega_max=1.0, state_order=10, p_max=1.0)
+                                      state_order=10, p_max=1.0)
         assert cps.points == (0.0, 1e-9, 1e-8, 0.5, 1.0, INF)
 
     def test_cluster_keeps_smallest(self):
         cps = assemble_control_points([0.5, 0.50001, 0.50002, 1.0],
-                                      WarpParams(rho=1e3), omega_max=1.0,
+                                      WarpParams(rho=1e3),
                                       state_order=10, p_max=1.0)
         assert 0.5 in cps.points
         assert 0.50001 not in cps.points and 0.50002 not in cps.points
 
     def test_protected_tail_survives(self):
         cps = assemble_control_points([1.0, 1.0 + 1e-9], WarpParams(rho=1e3),
-                                      omega_max=1.0, state_order=10, p_max=1.0,
+                                      state_order=10, p_max=1.0,
                                       protected=(1.0 + 1e-9,))
         assert 1.0 + 1e-9 in cps.points
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         cands = list(rng.uniform(0, 10, size=40))
-        a = assemble_control_points(cands, WarpParams(rho=1e3), 10.0, 20, 10.0)
+        a = assemble_control_points(cands, WarpParams(rho=1e3), 20, 10.0)
         rng.shuffle(cands)
-        b = assemble_control_points(cands, WarpParams(rho=1e3), 10.0, 20, 10.0)
+        b = assemble_control_points(cands, WarpParams(rho=1e3), 20, 10.0)
         assert a.points == b.points
 
     def test_rho_inf_count_is_distinct_candidates(self):
         cands = [0.3, 0.3, 0.7, 1.5]
-        cps = assemble_control_points(cands, WarpParams(rho=INF), 1.0, 10, 1.5)
+        cps = assemble_control_points(cands, WarpParams(rho=INF), 10, 1.5)
         assert len(cps.points) == len(set(cands) | {0.0, INF})
 
 
@@ -137,7 +136,11 @@ class TestWarpMap:
 
     def test_unwarp_many_matches_scalar(self):
         wm = WarpMap(ControlPointSet((0.0, 0.5, 2.0, 30.0, INF)))
-        zetas = np.linspace(0.0, wm.L, 101)
+        # Subband ends and the floats on either side of them included.
+        ends = np.arange(wm.L + 1, dtype=float)
+        zetas = np.concatenate([np.linspace(0.0, wm.L, 101),
+                                np.nextafter(ends, -1.0)[1:],
+                                np.nextafter(ends, INF)[:-1]])
         batch = wm.unwarp_many(zetas)
         for z, w in zip(zetas, batch):
             assert w == wm.unwarp(z) or (math.isinf(w) and math.isinf(wm.unwarp(z)))
