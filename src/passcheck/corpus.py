@@ -85,11 +85,13 @@ def generate_corpus(seed, out_dir, count=None,
                     port_counts=(1, 2, 4), n_terms_range=(2, 10),
                     targets=DEFAULT_TARGETS):
     """Write model_XXXX.json files plus manifest.json; returns the manifest."""
-    rng = np.random.default_rng(seed)
-    os.makedirs(out_dir, exist_ok=True)
     base = [(P, t) for P in port_counts for t in targets]
     if count is None:
         count = len(base)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rng = np.random.default_rng(seed)
+    os.makedirs(out_dir, exist_ok=True)
     combos = [base[i % len(base)] for i in range(count)]
     entries = []
     for i, (P, target) in enumerate(combos):

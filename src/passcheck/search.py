@@ -1,14 +1,20 @@
 """Threshold-aware multi-scale tree search on the unit interval.
 
-An M-ary tree (M odd) partitions [0, 1] into cells; the leaf with the
-largest metric value at the current level is expanded into M children,
-with the middle child inheriting the parent's value (relabeling, never
-re-evaluated).  Children are classified after every expansion: either
-they remain refinement candidates, or a stop condition freezes them
-into the basket and the search restarts from the shallowest level.
-Budget overruns either escalate through a schedule (when everything
-looks passive but sits close to the threshold) or end the search.
-Values are normalized by the caller, so the threshold is 1.
+An M-ary tree (M odd) partitions [0, 1] into cells.  The search keeps
+its leaves as one list in cell order, each leaf (level, index, theta,
+open).  The open leaf with the largest value at the current level is
+expanded: it is replaced in place by its M children, the middle child
+inheriting the parent's value (relabeling, never re-evaluated).  The
+children stay open as refinement candidates, or a stop condition closes
+them (freezes them into the basket; with basket reuse they stay open)
+and the search restarts from the shallowest open level.  Budget overruns
+either escalate through a schedule (when everything looks passive but
+sits close to the threshold) or end the search.  Values are normalized
+by the caller, so the threshold is 1.
+
+``steps`` is the search as a generator of point requests; ``lockstep``
+drives any number of them with one evaluation call per round, and
+``run`` is its one-search case for a scalar function.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class SearchConfig:
     budget_schedule: tuple = (7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
     basket_reuse: bool = False
 
-    def check(self):
+    def __post_init__(self):
         if self.M < 3 or self.M % 2 == 0:
             raise ValueError(f"M must be odd and >= 3, got {self.M}")
         if self.h0 < 0:
@@ -59,8 +65,8 @@ def cell_center(M, h, i):
 
 @dataclass
 class SubbandResult:
-    samples: list              # (zeta, theta) sorted by zeta
-    leaves: list               # (level, index, theta) sorted by cell position
+    samples: list              # (cell centre zeta, theta) of each leaf, in cell order
+    leaves: list               # (level, index, theta), in cell order
     theta_max: float
     zeta_at_max: float
     eval_count: int
@@ -90,17 +96,6 @@ def budget_conditions(config: SearchConfig, epsilon, h, children):
     return u1, u2, u3
 
 
-def _select(candidates, h):
-    """Best candidate key at level h: largest value, then smallest index."""
-    best = None
-    for (lev, i), val in candidates.items():
-        if lev != h:
-            continue
-        if best is None or val > best[1] or (val == best[1] and i < best[0][1]):
-            best = ((lev, i), val)
-    return best
-
-
 def steps(config: SearchConfig, trace=None):
     """The search as a resumable generator over batches of ``zeta``.
 
@@ -115,27 +110,17 @@ def steps(config: SearchConfig, trace=None):
     ``trace``, when given, is a list collecting one dict per iteration
     (level, expanded leaf, flags, counters) for debugging/regression.
     """
-    config.check()
     M = config.M
     eval_count = 0
-
-    candidates = {}
-    basket = {}
-    h = config.h0
+    leaves = []     # (level, index, theta, open), in cell order
     theta_max = -math.inf
     zeta_at_max = math.nan
 
     def partial(valid):
-        merged = {**candidates, **basket}
-        leaves = sorted(
-            ((lev, i, val) for (lev, i), val in merged.items()),
-            key=lambda t: (t[1] * M ** (-t[0]), t[0]),
-        )
-        samples = sorted(
-            (cell_center(M, lev, i), val) for (lev, i), val in merged.items()
-        )
-        return SubbandResult(samples, leaves, theta_max, zeta_at_max,
-                             eval_count, valid=valid)
+        return SubbandResult(
+            [(cell_center(M, lev, i), val) for lev, i, val, _ in leaves],
+            [(lev, i, val) for lev, i, val, _ in leaves],
+            theta_max, zeta_at_max, eval_count, valid=valid)
 
     def evaluate(cells, level):
         """Yield the centres of ``cells`` at ``level``; note their values."""
@@ -151,9 +136,10 @@ def steps(config: SearchConfig, trace=None):
                 theta_max, zeta_at_max = v, z
         return values
 
-    first = range(M ** config.h0)
-    values = yield from evaluate(first, config.h0)
-    candidates.update(((config.h0, i), v) for i, v in zip(first, values))
+    h = config.h0
+    first = range(M ** h)
+    values = yield from evaluate(first, h)
+    leaves.extend((h, i, v, True) for i, v in zip(first, values))
 
     sched = config.budget_schedule
     budget_idx = 0
@@ -161,25 +147,24 @@ def steps(config: SearchConfig, trace=None):
     epsilon = config.epsilon0
     mu = 0
 
-    while candidates:
-        if all(lev != h for lev, _ in candidates):
-            h = min(lev for lev, _ in candidates)
-        (h, i), parent_val = _select(candidates, h)
+    while h is not None:
+        # The open leaf at level h with the largest value, the first
+        # (smallest index) on a tie.
+        k = None
+        for j, (lev, _, val, is_open) in enumerate(leaves):
+            if is_open and lev == h and (k is None or val > parent_val):
+                k, parent_val = j, val
+        i = leaves[k][1]
         mid = M * i + M // 2
         cells = [j for j in range(M * i, M * (i + 1)) if j != mid]
         values = yield from evaluate(cells, h + 1)
-        del candidates[(h, i)]
-        new_vals = iter(values)
-        children = {(h + 1, j): parent_val if j == mid else next(new_vals)
-                    for j in range(M * i, M * (i + 1))}
+        child_vals = [*values[:M // 2], parent_val, *values[M // 2:]]
 
-        child_vals = list(children.values())
         s1, s2, s3 = stop_conditions(config, h, child_vals)
         u1, u2, u3 = budget_conditions(config, epsilon, h, child_vals)
-        eval_count_now = eval_count
 
         budget_return = False
-        if eval_count_now > budget:
+        if eval_count > budget:
             if u1 and (u2 or u3):
                 budget_idx += 1
                 if budget_idx >= len(sched):
@@ -194,43 +179,62 @@ def steps(config: SearchConfig, trace=None):
             trace.append({
                 "mu": mu, "h": h, "leaf": i,
                 "S": [s1, s2, s3], "U": [u1, u2, u3],
-                "K": eval_count_now, "budget": budget, "epsilon": epsilon,
+                "K": eval_count, "budget": budget, "epsilon": epsilon,
                 "theta_max": theta_max, "returning": budget_return,
             })
 
+        stop = s1 or s2 or s3
+        is_open = config.basket_reuse or not stop
+        leaves[k:k + 1] = [(h + 1, M * i + c, v, is_open)
+                           for c, v in enumerate(child_vals)]
         if budget_return:
-            basket.update(children)
             break
-
-        if s1 or s2 or s3:
-            basket.update(children)
-            if config.basket_reuse:
-                candidates.update(basket)
-                basket = {}
-            h = min(lev for lev, _ in list(candidates) + list(basket))
+        if stop:
+            h = min((lev for lev, _, _, o in leaves if o), default=None)
             epsilon = config.epsilon0
         else:
-            candidates.update(children)
-            h = h + 1
+            h += 1
         mu += 1
 
     return partial(valid=True)
 
 
+def lockstep(searches, evaluate):
+    """Drive ``steps`` generators together; one ``evaluate`` call per round.
+
+    Search ``ell``, its position in ``searches``, asks for its zeta as
+    the global coordinate ``ell + zeta``.  Each round gathers the points
+    every unfinished search asks for, evaluates them with
+    ``evaluate(global_zetas) -> values`` (a list of floats in the same
+    order) and sends each search its share.  Returns the searches'
+    results in order.  An exception from ``evaluate`` is thrown into a
+    pending search, which raises it as ``EvaluatorError``.
+    """
+    gens = list(searches)
+    requests = {ell: next(gen) for ell, gen in enumerate(gens)}
+    results = [None] * len(gens)
+    while requests:
+        zetas = [ell + t for ell, ts in requests.items() for t in ts]
+        try:
+            values = evaluate(zetas)
+        except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
+            gens[next(iter(requests))].throw(exc)
+        pending, start = {}, 0
+        for ell, ts in requests.items():
+            try:
+                pending[ell] = gens[ell].send(values[start:start + len(ts)])
+            except StopIteration as done:
+                results[ell] = done.value
+            start += len(ts)
+        requests = pending
+    return results
+
+
 def run(f, config: SearchConfig, trace=None) -> SubbandResult:
     """Locate maxima of ``f`` on [0, 1] relative to the threshold.
 
-    Scalar driver of ``steps``: each requested ``zeta`` is evaluated by
-    one call of ``f``.
+    The one-search case of ``lockstep``: each requested ``zeta`` is
+    evaluated by one call of ``f``.
     """
-    gen = steps(config, trace)
-    values = None
-    try:
-        while True:
-            zetas = gen.send(values)
-            try:
-                values = [float(f(z)) for z in zetas]
-            except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
-                gen.throw(exc)
-    except StopIteration as done:
-        return done.value
+    return lockstep([steps(config, trace)],
+                    lambda zetas: [float(f(z)) for z in zetas])[0]

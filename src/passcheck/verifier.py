@@ -1,9 +1,9 @@
 """Two-stage passivity verification: warp, per-subband search, bands.
 
 Each subband of the warped axis gets an independent tree search.  The
-searches advance in lockstep: every round gathers the points all
-unfinished searches ask for and evaluates them in one batched kernel
-call.  The subbands' samples, concatenated, are in global frequency
+searches advance in lockstep (``search.lockstep``): every round gathers
+the points all unfinished searches ask for and evaluates them in one
+batched kernel call.  The subbands' samples, concatenated, are in global frequency
 order, and each hot run (maximal run of samples above the threshold) is
 one violation band with bisected edges and a polished peak.  Every
 metric value comes from one ``Evaluator``, which divides it by gamma,
@@ -108,35 +108,6 @@ class Evaluator:
         if not math.isfinite(phi):
             raise EvaluatorError(f"non-finite metric at omega={float(omega)!r}")
         return omega, phi
-
-
-def _lockstep(L, config, evaluate):
-    """Run L subband searches in lockstep; one ``evaluate`` call per round.
-
-    Each round gathers the zeta every unfinished search asks for as the
-    global coordinate ``ell + t``, evaluates them all with
-    ``evaluate(global_zetas) -> values`` and sends each search its share.
-    An exception from ``evaluate`` is thrown into a pending search, which
-    raises it as ``search.EvaluatorError``.
-    """
-    gens = [search.steps(config) for _ in range(L)]
-    requests = {ell: next(gen) for ell, gen in enumerate(gens)}
-    results = [None] * L
-    while requests:
-        zetas = [ell + t for ell, ts in requests.items() for t in ts]
-        try:
-            values = evaluate(np.array(zetas)).tolist()
-        except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
-            gens[next(iter(requests))].throw(exc)
-        pending, start = {}, 0
-        for ell, ts in requests.items():
-            try:
-                pending[ell] = gens[ell].send(values[start:start + len(ts)])
-            except StopIteration as done:
-                results[ell] = done.value
-            start += len(ts)
-        requests = pending
-    return results
 
 
 def merge_samples(results, wmap):
@@ -285,7 +256,9 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
     t0 = time.perf_counter()
     wmap = build_warp_map(model, mode.warp_params)
     ev = Evaluator(model, wmap, gamma)
-    results = _lockstep(wmap.L, mode.search_config, lambda zetas: ev(zetas)[1])
+    results = search.lockstep(
+        [search.steps(mode.search_config) for _ in range(wmap.L)],
+        lambda zetas: ev(zetas)[1].tolist())
     total_k = ev.points
     samples = merge_samples(results, wmap)
     bands = extract_bands(samples, ev, postprocess_edge_maxima(samples))

@@ -227,6 +227,14 @@ class TestGenCorpus:
         assert (out / "manifest.json").exists()
         assert "wrote 2 models" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_cli_gen_corpus_rejects_empty_count(self, tmp_path, capsys, count):
+        out = tmp_path / "corpus"
+        assert main(["gen-corpus", "--seed", "5", "--out", str(out),
+                     "--count", count]) == 2
+        assert f"count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDenseCheckCommand:
     def test_passive(self, passive_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from passcheck.search import (EvaluatorError, SearchConfig, budget_conditions,
-                              run, stop_conditions)
+                              cell_center, run, stop_conditions)
 from passcheck.verifier import preset
 
 HARD = preset("hard").search_config
@@ -22,14 +22,23 @@ class CountingF:
         return self.fn(z)
 
 
+def assert_cell_order(leaves, M):
+    """``leaves`` partition [0, 1] as given: each cell starts where the one
+    before it ends (exact integer arithmetic)."""
+    assert leaves[0][1] == 0
+    assert leaves[-1][1] + 1 == M ** leaves[-1][0]
+    for (h1, i1, _), (h2, i2, _) in zip(leaves, leaves[1:]):
+        assert (i1 + 1) * M ** h2 == i2 * M ** h1
+
+
 class TestConfig:
     def test_rejects_even_m(self):
-        with pytest.raises(ValueError):
-            SearchConfig(M=4).check()
+        with pytest.raises(ValueError, match="M must be odd and >= 3, got 4"):
+            SearchConfig(M=4)
 
     def test_rejects_bad_schedule(self):
-        with pytest.raises(ValueError):
-            SearchConfig(budget_schedule=(10, 10)).check()
+        with pytest.raises(ValueError, match="budget_schedule must be non-empty"):
+            SearchConfig(budget_schedule=(10, 10))
 
 
 class TestInitialization:
@@ -122,6 +131,9 @@ class TestExpansionAccounting:
             res = run(f, cfg)
             assert f.calls == res.eval_count
             assert len(f.seen) == f.calls
+            assert_cell_order(res.leaves, cfg.M)
+            assert res.samples == [(cell_center(cfg.M, h, i), theta)
+                                   for h, i, theta in res.leaves]
 
     def test_two_expansions_from_h0_zero(self):
         # unimodal f above threshold: root expansion, one child expansion,
@@ -134,16 +146,6 @@ class TestExpansionAccounting:
 
 
 class TestPartitionIntegrity:
-    @staticmethod
-    def assert_partition(res, M):
-        cells = sorted(
-            (i * M ** (-h), (i + 1) * M ** (-h)) for h, i, _ in res.leaves
-        )
-        assert cells[0][0] == 0.0
-        assert cells[-1][1] == pytest.approx(1.0)
-        for (a1, b1), (a2, b2) in zip(cells, cells[1:]):
-            assert b1 == pytest.approx(a2, abs=1e-15)
-
     def test_partition_after_run(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -151,7 +153,7 @@ class TestPartitionIntegrity:
             f = lambda z: math.sin(13 * z) * 0.8 + 0.3
             cfg = SearchConfig(M=M, h0=1, budget_schedule=(20, 40, 60))
             res = run(f, cfg)
-            self.assert_partition(res, M)
+            assert_cell_order(res.leaves, M)
 
 
 class TestRun:
@@ -223,7 +225,12 @@ class TestRun:
         with pytest.raises(EvaluatorError) as exc_info:
             run(flaky, SearchConfig(M=5, h0=1, budget_schedule=(10 ** 6,),
                                     delta_theta=1e-300, delta_eta=1e-300))
-        assert exc_info.value.partial.valid is False
+        partial = exc_info.value.partial
+        assert partial.valid is False
+        # the 8th call fails inside the first expansion's batch, so the
+        # partial result holds the five initial leaves only
+        assert partial.eval_count == 5
+        assert_cell_order(partial.leaves, 5)
 
     def test_samples_sorted_and_flagged(self):
         res = run(lambda z: 1.1 - z, HARD)

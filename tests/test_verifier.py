@@ -298,8 +298,8 @@ class TestLockstep:
 
     @staticmethod
     def lockstep(f, L, config):
-        return verifier_mod._lockstep(
-            L, config, lambda zetas: np.array([f(z) for z in zetas]))
+        return search.lockstep([search.steps(config) for _ in range(L)],
+                               lambda zetas: [f(z) for z in zetas])
 
     @staticmethod
     def fields(res):
@@ -356,7 +356,8 @@ class TestLockstep:
 
         monkeypatch.setattr(verifier_mod, "passivity_metric_many", counting_many)
         ev = verifier_mod.Evaluator(model, wmap)
-        results = verifier_mod._lockstep(wmap.L, config, lambda zetas: ev(zetas)[1])
+        results = search.lockstep([search.steps(config) for _ in range(wmap.L)],
+                                  lambda zetas: ev(zetas)[1].tolist())
         assert len(calls) <= max(steps)
         assert sum(calls) == sum(r.eval_count for r in results)
 
@@ -365,7 +366,8 @@ class TestLockstep:
             raise FloatingPointError("kernel failed")
 
         with pytest.raises(EvaluatorError, match="kernel failed") as exc_info:
-            verifier_mod._lockstep(3, PRESETS["hard"].search_config, evaluate)
+            search.lockstep([search.steps(PRESETS["hard"].search_config)
+                             for _ in range(3)], evaluate)
         assert exc_info.value.partial.valid is False
 
 
