@@ -17,10 +17,12 @@ import os
 import numpy as np
 
 from .model import PoleResidueModel, save_model
-from .verifier import Evaluator, locate_peak, preset
+from .verifier import DENSE_WARP, Evaluator, locate_peak
 from .warp import build_warp_map
 
-DEFAULT_TARGETS = (0.8, 0.99, 1.001, 1.2)
+PORT_COUNTS = (1, 2, 4)
+N_TERMS_RANGE = (2, 10)
+TARGETS = (0.8, 0.99, 1.001, 1.2)
 CALIBRATION_GRID = 40001
 
 
@@ -55,7 +57,7 @@ def _random_model(rng, port_count, n_terms):
 
 def peak_metric(model):
     """(omega_at_max, max_phi) by warped dense sweep plus local polish."""
-    wmap = build_warp_map(model, preset("hard").warp_params)
+    wmap = build_warp_map(model, DENSE_WARP)
     return locate_peak(Evaluator(model, wmap), 0.0, float(wmap.L), to_inf=True,
                        sweep=CALIBRATION_GRID)
 
@@ -81,11 +83,9 @@ def generate_entry(rng, port_count, n_terms, target):
     }
 
 
-def generate_corpus(seed, out_dir, count=None,
-                    port_counts=(1, 2, 4), n_terms_range=(2, 10),
-                    targets=DEFAULT_TARGETS):
+def generate_corpus(seed, out_dir, count=None):
     """Write model_XXXX.json files plus manifest.json; returns the manifest."""
-    base = [(P, t) for P in port_counts for t in targets]
+    base = [(P, t) for P in PORT_COUNTS for t in TARGETS]
     if count is None:
         count = len(base)
     if count < 1:
@@ -95,7 +95,7 @@ def generate_corpus(seed, out_dir, count=None,
     combos = [base[i % len(base)] for i in range(count)]
     entries = []
     for i, (P, target) in enumerate(combos):
-        n_terms = int(rng.integers(n_terms_range[0], n_terms_range[1] + 1))
+        n_terms = int(rng.integers(N_TERMS_RANGE[0], N_TERMS_RANGE[1] + 1))
         model, meta = generate_entry(rng, P, n_terms, target)
         fname = f"model_{i:04d}.json"
         save_model(model, os.path.join(out_dir, fname))

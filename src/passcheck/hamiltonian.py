@@ -39,17 +39,19 @@ class OracleUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class HamiltonianProblem:
-    kind: str                      # "full" | "pencil"
-    matrix: np.ndarray = None      # 2N x 2N, full kind
-    pencil: tuple = None           # (M_e, K), pencil kind
+    """The eigenproblem a v = lambda b v; ``b`` None is the standard one."""
+    a: np.ndarray
+    b: np.ndarray = None
 
     @property
     def dim(self):
-        return self.matrix.shape[0] if self.kind == "full" else self.pencil[0].shape[0]
+        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
 class CrossingSet:
+    """Sorted crossing frequencies; ``bench/measure.py`` reads them as
+    ``.frequencies`` to check every crossing against the adaptive bands."""
     frequencies: tuple
 
 
@@ -71,7 +73,7 @@ def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
         ])
         K = np.zeros_like(Me)
         K[:2 * N, :2 * N] = np.eye(2 * N)
-        return HamiltonianProblem(kind="pencil", pencil=(Me, K))
+        return HamiltonianProblem(Me, K)
     R = np.eye(P) - D.T @ D
     S = np.eye(P) - D @ D.T
     Rinv_Bt = np.linalg.solve(R, B.T)
@@ -80,7 +82,7 @@ def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
         [A + B @ np.linalg.solve(R, D.T @ C), B @ Rinv_Bt],
         [-C.T @ Sinv_C, -A.T - C.T @ D @ Rinv_Bt],
     ])
-    return HamiltonianProblem(kind="full", matrix=M)
+    return HamiltonianProblem(M)
 
 
 def imaginary_crossings(problem: HamiltonianProblem,
@@ -90,10 +92,7 @@ def imaginary_crossings(problem: HamiltonianProblem,
         raise OracleUnavailable(
             f"oracle unavailable at this scale: dim {problem.dim} > {MAX_DENSE_DIM}"
         )
-    if problem.kind == "full":
-        eigs = scipy.linalg.eigvals(problem.matrix)
-    else:
-        eigs = scipy.linalg.eigvals(*problem.pencil)
+    eigs = scipy.linalg.eigvals(problem.a, problem.b)
     eigs = eigs[np.isfinite(eigs)]
     imag = eigs[np.abs(eigs.real) <= IMAG_TOL * np.maximum(1.0, np.abs(eigs))]
     freqs = np.sort(imag.imag[imag.imag >= 0.0])
@@ -136,7 +135,7 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):
     # split [0, inf) into a new interval.
     ws = [w for w in ws if w > 0]
     edges = [0.0] + ws + [INF]
-    wmap = build_warp_map(pr, verifier.PRESETS["hard"].warp_params)
+    wmap = build_warp_map(pr, verifier.DENSE_WARP)
     bands = []
     for lo, hi in zip(edges, edges[1:]):
         if hi == INF:

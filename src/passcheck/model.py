@@ -261,6 +261,13 @@ def model_to_dict(model: PoleResidueModel) -> dict:
     }
 
 
+def _typed(value, kind):
+    """``value`` if its type is exactly ``kind`` (a JSON bool is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _field(doc, name, convert):
     """``convert(doc[name])``; a malformed value raises a named ModelError."""
     try:
@@ -275,17 +282,16 @@ def model_from_dict(doc: dict) -> PoleResidueModel:
     missing = [k for k in SCHEMA_FIELDS if k not in doc]
     if missing:
         raise ModelError(f"model file missing fields: {', '.join(missing)}")
-    P = _field(doc, "port_count", int)
-    poles = _field(doc, "poles", lambda es: [_c(e) for e in es])
-    flags = [bool(e.get("is_pair", False)) for e in doc["poles"]]
+    P = _field(doc, "port_count", lambda v: _typed(v, int))
+    poles, flags = _field(doc, "poles", lambda es: (
+        [_c(e) for e in es], [_typed(e.get("is_pair", False), bool) for e in es]))
     residues = _field(doc, "residues", lambda rs: [
         np.array([[_c(v) for v in row] for row in r], dtype=complex)
         for r in rs])
     direct = _field(doc, "direct_term", lambda d: np.asarray(d, dtype=float))
-    for name, arr in (("direct_term", direct),
-                      ("residues", np.array([r.view(float) for r in residues]) if residues else np.zeros(0)),
-                      ("poles", np.array(poles).view(float) if poles else np.zeros(0))):
-        if arr.size and not np.all(np.isfinite(arr)):
+    for name, arrays in (("direct_term", [direct]), ("residues", residues),
+                         ("poles", [np.array(poles, dtype=complex)])):
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ModelError(f"model field {name!r} contains NaN/Inf")
     omega_max = _field(doc, "omega_max", float)
     if not math.isfinite(omega_max):

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
+CONTAINS_TOL = 1e-6  # relative widening of a band's edges in contains()
 
 
 def encode_num(x):
@@ -41,11 +42,12 @@ class ViolationBand:
         return cls(_unnum(d["omega_lo"]), _unnum(d["omega_hi"]),
                    _unnum(d["omega_peak"]), float(d["phi_peak"]))
 
-    def contains(self, omega, rel_tol=1e-6):
-        pad = rel_tol * max(abs(self.omega_lo),
-                            abs(omega) if math.isfinite(omega) else 0.0, 1e-300)
+    def contains(self, omega):
+        pad = CONTAINS_TOL * max(abs(self.omega_lo),
+                                 abs(omega) if math.isfinite(omega) else 0.0, 1e-300)
         hi = self.omega_hi
-        return self.omega_lo - pad <= omega and (hi == math.inf or omega <= hi + rel_tol * hi)
+        return self.omega_lo - pad <= omega and (
+            hi == math.inf or omega <= hi + CONTAINS_TOL * hi)
 
 
 @dataclass

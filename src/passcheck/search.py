@@ -73,27 +73,20 @@ class SubbandResult:
     valid: bool = True
 
 
-def stop_conditions(config: SearchConfig, h, children):
-    """(S1, S2, S3) for the M child values of one expansion, index order."""
+def conditions(config: SearchConfig, epsilon, h, children):
+    """((S1, S2, S3), (U1, U2, U3)) for the M child values of one
+    expansion, in index order.  A stop condition closes the children; the
+    escalation trigger is U1 and (U2 or U3)."""
     child_res = config.M ** (-h - 1)
     delta = max(abs(b - a) for a, b in zip(children, children[1:]))
     theta_hat = max(children)
-    s1 = child_res < config.delta_zeta
-    s2 = delta < config.delta_theta
-    s3 = child_res < config.delta_eta and delta < abs(theta_hat - 1.0)
-    return s1, s2, s3
-
-
-def budget_conditions(config: SearchConfig, epsilon, h, children):
-    """(U1, U2, U3); the escalation trigger is U1 and (U2 or U3)."""
-    child_res = config.M ** (-h - 1)
-    delta = max(abs(b - a) for a, b in zip(children, children[1:]))
-    theta_hat = max(children)
-    u1 = theta_hat < 1.0
+    gate = child_res < config.delta_eta
     rel = (1.0 - theta_hat) / theta_hat if theta_hat > 0 else math.inf
-    u2 = rel < epsilon
-    u3 = child_res < config.delta_eta and abs(1.0 - theta_hat) < delta
-    return u1, u2, u3
+    stop = (child_res < config.delta_zeta, delta < config.delta_theta,
+            gate and delta < abs(theta_hat - 1.0))
+    budget = (theta_hat < 1.0, rel < epsilon,
+              gate and abs(1.0 - theta_hat) < delta)
+    return stop, budget
 
 
 def steps(config: SearchConfig, trace=None):
@@ -160,8 +153,7 @@ def steps(config: SearchConfig, trace=None):
         values = yield from evaluate(cells, h + 1)
         child_vals = [*values[:M // 2], parent_val, *values[M // 2:]]
 
-        s1, s2, s3 = stop_conditions(config, h, child_vals)
-        u1, u2, u3 = budget_conditions(config, epsilon, h, child_vals)
+        (s1, s2, s3), (u1, u2, u3) = conditions(config, epsilon, h, child_vals)
 
         budget_return = False
         if eval_count > budget:

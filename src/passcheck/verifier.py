@@ -33,41 +33,23 @@ DEFAULT_REFINE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ModePreset:
-    name: str
     warp_params: WarpParams
     search_config: SearchConfig
 
 
-_SOFT_SCHEDULE = (7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-_HARD_SCHEDULE = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-_FINAL_SCHEDULE = (50, 100, 150, 200, 250)
+# The dense warp of hard and final: every candidate kept (no resolution
+# scan) and more samples per pole.  The oracle, the dense reference sweep
+# and the corpus calibration share it.
+DENSE_WARP = WarpParams(rho=math.inf, R_cp=3, R_rp=3, R_hf=6)
 
+# soft is the defaults; hard and final are their differences from it.
 PRESETS = {
-    "soft": ModePreset(
-        name="soft",
-        warp_params=WarpParams(rho=1e3, R_cp=1, R_rp=2, R_hf=5,
-                               c=50.0, Q_max=500.0, kappa=3, d=0.5),
-        search_config=SearchConfig(M=5, h0=1, delta_zeta=1e-8, delta_theta=1e-8,
-                                   delta_eta=1e-3, epsilon0=1e-3, rho_eps=0.1,
-                                   budget_schedule=_SOFT_SCHEDULE),
-    ),
-    "hard": ModePreset(
-        name="hard",
-        warp_params=WarpParams(rho=math.inf, R_cp=3, R_rp=3, R_hf=6,
-                               c=50.0, Q_max=500.0, kappa=3, d=0.5),
-        search_config=SearchConfig(M=5, h0=1, delta_zeta=1e-8, delta_theta=1e-8,
-                                   delta_eta=1e-2, epsilon0=1e-3, rho_eps=0.1,
-                                   budget_schedule=_HARD_SCHEDULE),
-    ),
-    "final": ModePreset(
-        name="final",
-        warp_params=WarpParams(rho=math.inf, R_cp=3, R_rp=3, R_hf=6,
-                               c=50.0, Q_max=500.0, kappa=3, d=0.5),
-        search_config=SearchConfig(M=3, h0=1, delta_zeta=1e-8, delta_theta=1e-8,
-                                   delta_eta=1e-3, epsilon0=1e-4, rho_eps=0.1,
-                                   budget_schedule=_FINAL_SCHEDULE,
-                                   basket_reuse=True),
-    ),
+    "soft": ModePreset(WarpParams(), SearchConfig()),
+    "hard": ModePreset(DENSE_WARP, SearchConfig(
+        delta_eta=1e-2, budget_schedule=tuple(range(10, 101, 10)))),
+    "final": ModePreset(DENSE_WARP, SearchConfig(
+        M=3, epsilon0=1e-4, budget_schedule=(50, 100, 150, 200, 250),
+        basket_reuse=True)),
 }
 
 
@@ -252,12 +234,12 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
     problems = validate(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
-    mode = preset(mode)
+    chosen = preset(mode)
     t0 = time.perf_counter()
-    wmap = build_warp_map(model, mode.warp_params)
+    wmap = build_warp_map(model, chosen.warp_params)
     ev = Evaluator(model, wmap, gamma)
     results = search.lockstep(
-        [search.steps(mode.search_config) for _ in range(wmap.L)],
+        [search.steps(chosen.search_config) for _ in range(wmap.L)],
         lambda zetas: ev(zetas)[1].tolist())
     total_k = ev.points
     samples = merge_samples(results, wmap)
@@ -269,20 +251,20 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
         total_evaluations=total_k,
         refine_evaluations=ev.points - total_k,
         samples=[(w, z, phi * gamma, sb) for w, z, phi, sb in samples],
-        mode=mode.name,
+        mode=mode,
         wall_time=time.perf_counter() - t0,
         gamma=gamma,
     )
 
 
 def dense_reference_check(model: PoleResidueModel, count):
-    """Brute-force sweep: count midpoints uniform in the hard-mode warped axis.
+    """Brute-force sweep: count midpoints uniform in the ``DENSE_WARP`` axis.
 
     Returns (worst_phi > 1, worst_omega, worst_phi).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    wmap = build_warp_map(model, PRESETS["hard"].warp_params)
+    wmap = build_warp_map(model, DENSE_WARP)
     omegas, phis = Evaluator(model, wmap)((np.arange(count) + 0.5) * (wmap.L / count))
     k = int(np.argmax(phis))
     return bool(phis[k] > 1.0), float(omegas[k]), float(phis[k])

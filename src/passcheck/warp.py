@@ -31,14 +31,14 @@ class WarpParams:
     kappa: int = 3            # log tail sample count
     d: float = 0.5            # tail extent, decades past omega_max
 
-    def check(self):
+    def __post_init__(self):
         if self.c <= 1 or self.Q_max <= 1 or self.kappa < 1 or self.d <= 0:
             raise ValueError(f"invalid warp parameters: {self}")
         if self.R_cp < 1 or self.R_rp < 2 or self.R_hf < 3:
             warnings.warn(
                 f"sample counts outside recommended ranges: "
                 f"R_cp={self.R_cp}, R_rp={self.R_rp}, R_hf={self.R_hf}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -125,7 +125,6 @@ def assemble_control_points(candidates, params: WarpParams, state_order,
 
 def build_control_points(model, params: WarpParams) -> ControlPointSet:
     """Full Step-1 pipeline for a pole-residue model."""
-    params.check()
     cands = pole_samples(model.poles, params, model.omega_max)
     tails = tail_samples(model.omega_max, params)
     return assemble_control_points(

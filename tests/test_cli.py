@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,8 +256,11 @@ class TestDenseCheckCommand:
             residues=(np.array([[1.7e308]], dtype=complex),) * 2,
             is_pair=(False, False), direct_term=np.array([[0.0]]),
             port_count=1, omega_max=10.0), path)
-        assert main(["dense-check", "--model", str(path),
-                     "--count", "1000"]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["dense-check", "--model", str(path),
+                         "--count", "1000"]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert err.startswith(
             "error: metric evaluation failed: non-finite metric at omega=")

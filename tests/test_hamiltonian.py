@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from passcheck import hamiltonian
-from passcheck.hamiltonian import (CrossingSet, HamiltonianProblem,
-                                   OracleUnavailable, build_problem,
-                                   imaginary_crossings, oracle_verdict)
+from passcheck.hamiltonian import (HamiltonianProblem, OracleUnavailable,
+                                   build_problem, imaginary_crossings,
+                                   oracle_verdict)
 from passcheck.model import (INF, PoleResidueModel, StateSpaceModel,
-                             passivity_metric, realize)
+                             passivity_metric, passivity_metric_many, realize)
 from passcheck.verifier import check_passivity
 
 
@@ -44,18 +44,18 @@ def crossing_oracle_siso(a, b, c, d):
 class TestBuildProblem:
     def test_full_kind_generic_d(self):
         prob = build_problem(siso_ss(-1.0, 1.0, 2.0, 0.0))
-        assert prob.kind == "full"
+        assert prob.b is None
         assert prob.dim == 2
 
     def test_pencil_kind_near_unit_d(self):
         prob = build_problem(siso_ss(-1.0, 1.0, 2.0, 1.0))
-        assert prob.kind == "pencil"
+        assert prob.b is not None
         assert prob.dim == 4
 
     def test_full_matrix_entries(self):
         # A=-1, B=1, C=2, D=0: R=S=I, M = [[-1, 1], [-4, 1]]
         prob = build_problem(siso_ss(-1.0, 1.0, 2.0, 0.0))
-        np.testing.assert_allclose(prob.matrix, [[-1.0, 1.0], [-4.0, 1.0]])
+        np.testing.assert_allclose(prob.a, [[-1.0, 1.0], [-4.0, 1.0]])
 
     def test_full_matrix_generic_blocks(self):
         a, b, c, d = -2.0, 0.7, 1.3, 0.4
@@ -65,11 +65,11 @@ class TestBuildProblem:
             [a + b * d * c / r, b * b / r],
             [-c * c / r, -a - c * d * b / r],
         ])
-        np.testing.assert_allclose(prob.matrix, expected, rtol=1e-14)
+        np.testing.assert_allclose(prob.a, expected, rtol=1e-14)
 
     def test_pencil_blocks(self):
         prob = build_problem(siso_ss(-1.0, 1.0, 2.0, 1.0))
-        Me, K = prob.pencil
+        Me, K = prob.a, prob.b
         np.testing.assert_allclose(Me, [
             [-1, 0, 1, 0],
             [0, 1, 0, -2],
@@ -118,7 +118,7 @@ class TestImaginaryCrossings:
         pr = _random_pr(rng, P=2, pairs=2, reals=2)
         prob = build_problem(realize(pr))
         import scipy.linalg
-        eigs = scipy.linalg.eigvals(prob.matrix)
+        eigs = scipy.linalg.eigvals(prob.a)
         for lam in eigs:
             assert min(abs(eigs + lam)) <= 1e-7 * max(1.0, abs(lam))
             assert min(abs(eigs - np.conj(lam))) <= 1e-7 * max(1.0, abs(lam))
@@ -130,7 +130,7 @@ class TestImaginaryCrossings:
         pr = _random_pr(rng, P=2, pairs=1, reals=1)
         ss = realize(pr)
         full = build_problem(ss)
-        assert full.kind == "full"
+        assert full.b is None
         N, P = ss.state_order, ss.D.shape[0]
         Me = np.block([
             [ss.A, np.zeros((N, N)), ss.B, np.zeros((N, P))],
@@ -140,7 +140,7 @@ class TestImaginaryCrossings:
         ])
         K = np.zeros_like(Me)
         K[:2 * N, :2 * N] = np.eye(2 * N)
-        pencil = HamiltonianProblem(kind="pencil", pencil=(Me, K))
+        pencil = HamiltonianProblem(Me, K)
         wf = np.array(imaginary_crossings(full, dedup_tol=1e-9).frequencies)
         wp = np.array(imaginary_crossings(pencil, dedup_tol=1e-9).frequencies)
         assert wf.size == wp.size
@@ -153,8 +153,10 @@ class TestImaginaryCrossings:
             imaginary_crossings(prob)
 
     def test_dedup(self):
-        cs = CrossingSet(frequencies=(1.0, 2.0))
-        assert list(cs.frequencies) == [1.0, 2.0]
+        prob = HamiltonianProblem(np.diag([1j, 1j * (1 + 1e-12), 2j]))
+        assert imaginary_crossings(prob, dedup_tol=1e-9).frequencies == (1.0, 2.0)
+        assert imaginary_crossings(prob, dedup_tol=0).frequencies == (
+            1.0, 1.0 + 1e-12, 2.0)
 
 
 def _random_pr(rng, P, pairs, reals):
@@ -205,7 +207,7 @@ class TestOracleVerdict:
             pr = _random_pr(rng, P=2, pairs=2, reals=1)
             passive, bands = oracle_verdict(realize(pr), pr)
             omegas = np.geomspace(1e-3, 1e3, 20001)
-            phis = [passivity_metric(pr, w) for w in omegas]
+            phis = passivity_metric_many(pr, omegas)
             k = int(np.argmax(phis))
             if phis[k] > 1.0:
                 hits += 1

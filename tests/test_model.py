@@ -279,6 +279,27 @@ class TestModelIO:
             model_from_dict({"omega_max": 1.0, "direct_term": [[0]],
                              "poles": [], "residues": []})
 
+    def test_is_pair_must_be_bool(self):
+        doc = model_to_dict(siso(complex(-1, 2), 1.0))
+        doc["poles"][0]["is_pair"] = "false"
+        with pytest.raises(ModelError, match="poles.*bool"):
+            model_from_dict(doc)
+
+    def test_port_count_must_be_int(self):
+        doc = model_to_dict(siso(complex(-1), 1.0))
+        doc["port_count"] = 1.9
+        with pytest.raises(ModelError, match="port_count.*int"):
+            model_from_dict(doc)
+
+    def test_residue_shapes_checked_by_name(self):
+        doc = model_to_dict(PoleResidueModel(
+            poles=(complex(-1), complex(-2)),
+            residues=(np.ones((1, 1)), np.ones((2, 2))),
+            is_pair=(False, False), direct_term=np.zeros((1, 1)),
+            port_count=1, omega_max=10.0))
+        with pytest.raises(ModelError, match=r"residue 1 shape \(2, 2\)"):
+            model_from_dict(doc)
+
     def test_invalid_model_rejected_on_load(self, tmp_path):
         doc = model_to_dict(siso(complex(-1), 1.0))
         doc["poles"][0]["re"] = 1.0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from passcheck.search import (EvaluatorError, SearchConfig, budget_conditions,
-                              cell_center, run, stop_conditions)
+from passcheck.search import (EvaluatorError, SearchConfig, cell_center,
+                              conditions, run)
 from passcheck.verifier import preset
 
 HARD = preset("hard").search_config
@@ -62,44 +62,44 @@ class TestInitialization:
 class TestStopConditions:
     def test_s1_resolution(self):
         cfg = SearchConfig(M=5, delta_zeta=1e-8)
-        s1, _, _ = stop_conditions(cfg, 11, [0.1] * 5)
+        s1, _, _ = conditions(cfg, 1e-3, 11, [0.1] * 5)[0]
         assert s1  # 5**-12 ~ 4.1e-9 < 1e-8
 
     def test_s2_constant_children(self):
         cfg = SearchConfig(M=5, delta_theta=1e-8)
-        _, s2, _ = stop_conditions(cfg, 1, [0.5] * 5)
+        _, s2, _ = conditions(cfg, 1e-3, 1, [0.5] * 5)[0]
         assert s2
 
     def test_s3_far_from_threshold(self):
         cfg = SearchConfig(M=3, delta_eta=1.0)  # gate passes at any level
-        _, _, s3 = stop_conditions(cfg, 1, [0.90, 0.91, 0.92])
+        _, _, s3 = conditions(cfg, 1e-3, 1, [0.90, 0.91, 0.92])[0]
         assert s3  # delta = 0.01 < |0.92 - 1| = 0.08
 
     def test_s3_blocked_by_gate(self):
         cfg = SearchConfig(M=3, delta_eta=1e-9)
-        _, _, s3 = stop_conditions(cfg, 1, [0.90, 0.91, 0.92])
+        _, _, s3 = conditions(cfg, 1e-3, 1, [0.90, 0.91, 0.92])[0]
         assert not s3
 
 
 class TestBudgetConditions:
     def test_u2_close_to_threshold(self):
         cfg = SearchConfig(M=5)
-        u1, u2, _ = budget_conditions(cfg, 1e-3, 1, [0.9, 0.99, 0.9995, 0.9, 0.9])
+        u1, u2, _ = conditions(cfg, 1e-3, 1, [0.9, 0.99, 0.9995, 0.9, 0.9])[1]
         assert u1 and u2  # (1 - 0.9995)/0.9995 ~ 5e-4 < 1e-3
 
     def test_u1_false_above_threshold(self):
         cfg = SearchConfig(M=3)
-        u1, u2, u3 = budget_conditions(cfg, 1e-3, 1, [0.5, 1.2, 0.5])
+        u1, u2, u3 = conditions(cfg, 1e-3, 1, [0.5, 1.2, 0.5])[1]
         assert not u1
 
     def test_u3_variation_dominates(self):
         cfg = SearchConfig(M=3, delta_eta=1.0)
-        _, _, u3 = budget_conditions(cfg, 1e-3, 1, [0.95, 0.97, 0.99])
+        _, _, u3 = conditions(cfg, 1e-3, 1, [0.95, 0.97, 0.99])[1]
         assert u3  # delta = 0.04 > |1 - 0.99| = 0.01... 0.01 < 0.02 adjacent max
 
     def test_zero_value_children(self):
         cfg = SearchConfig(M=3)
-        u1, u2, _ = budget_conditions(cfg, 1e-3, 1, [0.0, 0.0, 0.0])
+        u1, u2, _ = conditions(cfg, 1e-3, 1, [0.0, 0.0, 0.0])[1]
         assert u1 and not u2
 
 

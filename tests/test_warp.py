@@ -179,4 +179,4 @@ class TestBuildControlPoints:
 
     def test_warn_outside_guidance(self):
         with pytest.warns(UserWarning):
-            WarpParams(R_rp=1).check()
+            WarpParams(R_rp=1)
