@@ -127,6 +127,8 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):
     interval is probed at an interior point (geometric mean for interior
     intervals, 2 * last crossing for the final one, sigma_max(D) at inf).
     """
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
     problem = build_problem(dataclasses.replace(ss, C=ss.C / gamma,
                                                 D=ss.D / gamma))
     crossings = imaginary_crossings(problem, dedup_tol=1e-9 * pr.p_max)

@@ -5,10 +5,10 @@ searches advance in lockstep (``search.lockstep``): every round gathers
 the points all unfinished searches ask for and evaluates them in one
 batched kernel call.  The subbands' samples, concatenated, are in global frequency
 order, and each hot run (maximal run of samples above the threshold) is
-one violation band with bisected edges and a polished peak.  Every
+one violation band with Brent-solved edges and a polished peak.  Every
 metric value comes from one ``Evaluator``, which divides it by gamma,
 so that every stage works at threshold 1, and raises ``EvaluatorError``
-on a non-finite value.
+on a kernel failure or a non-finite value.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 import scipy.optimize
 
 from . import search
-from .model import INF, PoleResidueModel, passivity_metric, passivity_metric_many, validate
+from .model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
+                    passivity_metric_many, validate)
 from .report import PassivityReport, ViolationBand
 from .search import EvaluatorError, SearchConfig
 from .warp import WarpParams, build_warp_map
-
-DEFAULT_REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,19 @@ class Evaluator:
 
     ``ev(zetas)`` returns ``(omegas, phis)`` from one batched kernel call,
     ``ev.one(zeta)`` returns ``(omega, phi)`` from one scalar call.  Both
-    look the kernel up in this module when called, raise ``EvaluatorError``
-    on a non-finite value and add the points evaluated to ``points``.
+    look the kernel up in this module when called, name a kernel failure
+    or a non-finite value as ``EvaluatorError`` and count ``points``.
     """
 
     def __init__(self, model, wmap, gamma=1.0):
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
         self.model, self.wmap, self.gamma = model, wmap, gamma
         self.points = 0
 
     def __call__(self, zetas):
         omegas = self.wmap.unwarp_many(zetas)
-        phis = passivity_metric_many(self.model, omegas) / self.gamma
+        phis = self._kernel(passivity_metric_many, omegas)
         self.points += len(omegas)
         bad = np.flatnonzero(~np.isfinite(phis))
         if bad.size:
@@ -85,11 +86,17 @@ class Evaluator:
 
     def one(self, zeta):
         omega = self.wmap.unwarp(zeta)
-        phi = passivity_metric(self.model, omega) / self.gamma
+        phi = self._kernel(passivity_metric, omega)
         self.points += 1
         if not math.isfinite(phi):
             raise EvaluatorError(f"non-finite metric at omega={float(omega)!r}")
         return omega, phi
+
+    def _kernel(self, kernel, omegas):
+        try:
+            return kernel(self.model, omegas) / self.gamma
+        except Exception as exc:  # noqa: BLE001 - any kernel failure is named
+            raise EvaluatorError(str(exc)) from exc
 
 
 def merge_samples(results, wmap):
@@ -128,24 +135,17 @@ def postprocess_edge_maxima(samples):
     return retained
 
 
-def _bisect_crossing(ev, a, b):
-    """Zeta of the threshold crossing of ``ev`` between hot a and cold b.
+def _crossing(ev, hot, cold, phi_hot, phi_cold):
+    """Zeta of the threshold crossing of ``ev`` between ``hot`` and ``cold``.
 
-    Bisection runs in the warped coordinate; convergence is judged on the
-    relative width of the unwarped bracket.
+    Brent's method solves phi = 1 to double precision; the two bracket
+    ends are served from the values the caller holds, never evaluated.
     """
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if ev.one(mid)[1] > 1.0:
-            a = mid
-        else:
-            b = mid
-        wa, wb = ev.wmap.unwarp(min(a, b)), ev.wmap.unwarp(max(a, b))
-        if math.isfinite(wb) and wb - wa <= DEFAULT_REFINE_TOL * max(wb, 1e-300):
-            break
-        if abs(b - a) <= 1e-16:
-            break
-    return 0.5 * (a + b)
+    known = {hot: phi_hot, cold: phi_cold}
+    return scipy.optimize.brentq(
+        lambda z: (known[z] if z in known else ev.one(z)[1]) - 1.0,
+        min(hot, cold), max(hot, cold), xtol=1e-16,
+        rtol=4 * np.finfo(float).eps, maxiter=200, disp=False)
 
 
 def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
@@ -184,8 +184,8 @@ def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
 def extract_bands(samples, ev, retained):
     """One band per hot run (maximal run of samples with phi > 1).
 
-    Each run holds a ``retained`` maximum.  Its two edges are bisected once
-    from the known hot and cold samples; its peak is the best polish of
+    Each run holds a ``retained`` maximum.  Its two edges are solved once
+    between the known hot and cold samples; its peak is the best polish of
     its retained maxima (the first on a tie), or the end L if not below it.
     """
     wmap = ev.wmap
@@ -195,14 +195,13 @@ def extract_bands(samples, ev, retained):
     n = len(phis)
 
     def edge(k, j, end):
-        """(zeta, phi at ``end`` or None) of the edge between hot sample k
-        and its cold neighbour j, or ``end`` (0 or L) if j is out of range."""
-        if 0 <= j < n:
-            return _bisect_crossing(ev, zetas[k], zetas[j]), None
-        phi_end = ev.one(end)[1]
-        if phi_end > 1.0:
-            return end, phi_end
-        return _bisect_crossing(ev, zetas[k], end), phi_end
+        """(zeta, phi) of the edge between hot sample k and its neighbour j,
+        or ``end`` (0 or L) if j is out of range: the crossing and the
+        neighbour's phi, or a hot ``end`` and its own phi."""
+        z, phi = (zetas[j], phis[j]) if 0 <= j < n else (end, ev.one(end)[1])
+        if phi > 1.0:
+            return end, phi
+        return _crossing(ev, zetas[k], z, phis[k], phi), phi
 
     bands = []
     first = 0
@@ -258,13 +257,21 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
 
 
 def dense_reference_check(model: PoleResidueModel, count):
-    """Brute-force sweep: count midpoints uniform in the ``DENSE_WARP`` axis.
-
-    Returns (worst_phi > 1, worst_omega, worst_phi).
+    """Brute-force sweep: count midpoints uniform in the ``DENSE_WARP`` axis,
+    in blocks of ``METRIC_BUDGET``.  Returns (worst_phi > 1, worst_omega,
+    worst_phi) at the first maximum.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     wmap = build_warp_map(model, DENSE_WARP)
-    omegas, phis = Evaluator(model, wmap)((np.arange(count) + 0.5) * (wmap.L / count))
-    k = int(np.argmax(phis))
-    return bool(phis[k] > 1.0), float(omegas[k]), float(phis[k])
+    ev = Evaluator(model, wmap)
+
+    def block_peak(start):
+        block = np.arange(start, min(start + METRIC_BUDGET, count))
+        omegas, phis = ev((block + 0.5) * (wmap.L / count))
+        k = int(np.argmax(phis))
+        return float(omegas[k]), float(phis[k])
+
+    worst_omega, worst_phi = max(map(block_peak, range(0, count, METRIC_BUDGET)),
+                                 key=lambda peak: peak[1])
+    return worst_phi > 1.0, worst_omega, worst_phi

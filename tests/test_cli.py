@@ -109,6 +109,20 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: metric evaluation failed: kernel failed")
 
+    def test_refinement_kernel_failure_exit_two(self, violating_path, capsys,
+                                                monkeypatch):
+        # The search's batched kernel works; band refinement's scalar one fails.
+        import passcheck.verifier as verifier_mod
+
+        def broken(model, omega):
+            raise FloatingPointError("scalar kernel failed")
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric", broken)
+        assert main(["check", "--model", violating_path, "--mode", "hard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: metric evaluation failed: scalar kernel failed")
+
     def test_nan_metric_exit_two(self, passive_path, capsys, monkeypatch):
         import passcheck.verifier as verifier_mod
 
@@ -247,6 +261,19 @@ class TestDenseCheckCommand:
         assert main(["dense-check", "--model", violating_path,
                      "--count", "1000"]) == 1
         assert "NON-PASSIVE" in capsys.readouterr().out
+
+    def test_kernel_failure_exit_two(self, violating_path, capsys, monkeypatch):
+        import passcheck.verifier as verifier_mod
+
+        def broken(model, omegas):
+            raise FloatingPointError("batched kernel failed")
+
+        monkeypatch.setattr(verifier_mod, "passivity_metric_many", broken)
+        assert main(["dense-check", "--model", violating_path,
+                     "--count", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: metric evaluation failed: batched kernel failed")
 
     def test_non_finite_metric_exit_two(self, tmp_path, capsys):
         # A finite model whose H(j omega) overflows near omega = 0.

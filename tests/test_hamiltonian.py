@@ -226,6 +226,14 @@ class TestOracleVerdict:
         assert passive and bands == []
         assert check_passivity(pr, "hard", gamma=3.0).passive
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_gamma_rejected_by_both_routes(self, gamma):
+        pr = siso_pr(-1.0, 2.0)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            oracle_verdict(realize(pr), pr, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            check_passivity(pr, "hard", gamma=gamma)
+
     def test_gamma_band_edge_both_routes(self):
         # |H| = 2 / sqrt(1 + w^2) > 1.5 on [0, sqrt(7)/3).
         pr = siso_pr(-1.0, 2.0)

@@ -8,7 +8,8 @@ import pytest
 
 import passcheck.verifier as verifier_mod
 from passcheck import corpus, search
-from passcheck.model import INF, PoleResidueModel, passivity_metric, passivity_metric_many
+from passcheck.model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
+                             passivity_metric_many)
 from passcheck.report import PassivityReport, ViolationBand
 from passcheck.search import EvaluatorError, SearchConfig
 from passcheck.verifier import (PRESETS, check_passivity, dense_reference_check,
@@ -249,13 +250,13 @@ class TestExtractBands:
 
     def test_one_band_and_two_bisections_per_hot_run(self, monkeypatch):
         calls = []
-        bisect_crossing = verifier_mod._bisect_crossing
+        crossing = verifier_mod._crossing
 
-        def counting(ev, a, b):
-            calls.append((a, b))
-            return bisect_crossing(ev, a, b)
+        def counting(ev, hot, cold, phi_hot, phi_cold):
+            calls.append((hot, cold))
+            return crossing(ev, hot, cold, phi_hot, phi_cold)
 
-        monkeypatch.setattr(verifier_mod, "_bisect_crossing", counting)
+        monkeypatch.setattr(verifier_mod, "_crossing", counting)
         model = self.two_peaks()
         report = check_passivity(model, mode="hard")
         hot = [i for i, s in enumerate(report.samples) if s[2] > 1.0]
@@ -269,6 +270,18 @@ class TestExtractBands:
         assert passivity_metric(model, band.omega_hi) == pytest.approx(1.0, abs=1e-8)
         assert band.phi_peak >= max(s[2] for s in report.samples)
         assert band.omega_peak == pytest.approx(12.0, rel=0.05)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard", "final"])
+    def test_edges_to_double_precision(self, mode):
+        # 2/(s+1) crosses 1 at exactly sqrt(3); a damped resonance's edges
+        # lie where the metric is 1 to the last few bits.
+        band, = check_passivity(siso(-1.0, 2.0), mode).bands
+        assert band.omega_hi == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        for model in (self.two_peaks(),
+                      resonant(damping=0.02, w0=10.0, residue_scale=1.2)):
+            for band in check_passivity(model, mode).bands:
+                for omega in (band.omega_lo, band.omega_hi):
+                    assert abs(passivity_metric(model, omega) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("mode", ["soft", "hard", "final"])
     def test_refinement_never_evaluates_a_sample(self, monkeypatch, mode):
@@ -447,6 +460,33 @@ class TestDenseReferenceCheck:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
+
+    def test_memory_does_not_grow_with_count(self):
+        # A P = 1, three-term model: the kernel is cheap, so the peak is
+        # the sweep's own arrays, which must not scale with count.
+        model = PoleResidueModel(
+            poles=(complex(-1.0, 5.0), complex(-3.0)),
+            residues=(np.array([[0.5 + 0.2j]]), np.array([[1.0 + 0j]])),
+            is_pair=(True, False), direct_term=np.array([[0.1]]),
+            port_count=1, omega_max=10.0)
+        peaks = []
+        for count in (10 ** 5, 10 ** 6):
+            tracemalloc.start()
+            try:
+                dense_reference_check(model, count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_blocks_keep_the_first_maximum(self):
+        # A constant metric ties at every midpoint of every block, so the
+        # first midpoint of the first block is the worst sample.
+        flat = TestPoleFree.direct_only(0.5)
+        wmap = build_warp_map(flat, verifier_mod.DENSE_WARP)
+        count = METRIC_BUDGET + 5
+        assert dense_reference_check(flat, count) == (
+            False, wmap.unwarp(0.5 * (wmap.L / count)), 0.5)
 
 
 class TestResonant:
