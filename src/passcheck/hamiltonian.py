@@ -10,15 +10,16 @@ to cross-check the sampling pipeline, not to scale.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import verifier
-from .model import (INF, PoleResidueModel, StateSpaceModel, passivity_metric,
-                    passivity_metric_many)
+# The oracle reads the metric through ``verifier.Evaluator``.  The benchmark
+# (bench/measure.py) still wraps these two names here, so they stay bound.
+from .model import INF, PoleResidueModel, StateSpaceModel
+from .model import passivity_metric, passivity_metric_many  # noqa: F401
 from .report import ViolationBand
 from .warp import build_warp_map
 
@@ -105,17 +106,16 @@ def imaginary_crossings(problem: HamiltonianProblem,
     return CrossingSet(frequencies=tuple(float(w) for w in freqs))
 
 
-def _band_peak(pr: PoleResidueModel, wmap, lo, hi):
-    """(omega_peak, phi_peak) of the metric on [lo, hi], located as the
-    adaptive check locates its peaks.  A band edge can hold the maximum
-    (at omega = 0, or where a lower singular value crosses), so the
-    better finite edge is the known best sample."""
-    edges = [w for w in (lo, hi) if w < INF]
-    phis = passivity_metric_many(pr, edges)
+def _band_peak(ev, a, b):
+    """(omega_peak, phi_peak) of the ``Evaluator`` on the warped band [a, b],
+    located as the adaptive check locates its peaks.  A band edge can hold
+    the maximum (at omega = 0, or where a lower singular value crosses), so
+    the better finite edge is the known best sample."""
+    to_inf = b == ev.wmap.L
+    omegas, phis = ev(np.array([a] if to_inf else [a, b]))
     k = int(np.argmax(phis))
-    return verifier.locate_peak(verifier.Evaluator(pr, wmap), wmap.warp(lo),
-                                wmap.warp(hi), best=(edges[k], float(phis[k])),
-                                to_inf=hi == INF, sweep=BAND_GRID)
+    return verifier.locate_peak(ev, a, b, best=(float(omegas[k]), float(phis[k])),
+                                to_inf=to_inf, sweep=BAND_GRID)
 
 
 def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):
@@ -123,34 +123,26 @@ def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):
 
     The Hamiltonian is built from C / gamma and D / gamma, whose transfer
     matrix is H / gamma, so its crossings are those of the threshold gamma.
-    The crossings split [0, inf) into intervals; the metric sign on each
-    interval is probed at an interior point (geometric mean for interior
-    intervals, 2 * last crossing for the final one, sigma_max(D) at inf).
+    The crossings split [0, inf) into intervals.  The metric has one sign
+    inside each, so one ``Evaluator`` reads it at the interval's warped
+    midpoint, and at omega = inf for the last interval.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+    wmap = build_warp_map(pr, verifier.DENSE_WARP)
+    ev = verifier.Evaluator(pr, wmap, gamma)
     problem = build_problem(dataclasses.replace(ss, C=ss.C / gamma,
                                                 D=ss.D / gamma))
     crossings = imaginary_crossings(problem, dedup_tol=1e-9 * pr.p_max)
-    ws = list(crossings.frequencies)
     # Zero can appear as a crossing (eigenvalue at the origin); it does not
     # split [0, inf) into a new interval.
-    ws = [w for w in ws if w > 0]
+    ws = [w for w in crossings.frequencies if w > 0]
     edges = [0.0] + ws + [INF]
-    wmap = build_warp_map(pr, verifier.DENSE_WARP)
     bands = []
     for lo, hi in zip(edges, edges[1:]):
-        if hi == INF:
-            probe = 2.0 * lo if lo > 0 else min(1.0, pr.omega_max)
-            violated = passivity_metric(pr, probe) > gamma or \
-                passivity_metric(pr, INF) > gamma
-        else:
-            probe = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
-            violated = passivity_metric(pr, probe) > gamma
-        if violated:
-            peak_w, peak_phi = _band_peak(pr, wmap, lo, hi)
-            bands.append(ViolationBand(omega_lo=lo, omega_hi=hi,
-                                       omega_peak=peak_w, phi_peak=peak_phi))
+        a, b = wmap.warp(lo), wmap.warp(hi)
+        if ev.one(0.5 * (a + b))[1] > 1.0 or (hi == INF and ev.one(b)[1] > 1.0):
+            peak_w, peak_phi = _band_peak(ev, a, b)
+            bands.append(ViolationBand(omega_lo=lo, omega_hi=hi, omega_peak=peak_w,
+                                       phi_peak=peak_phi * gamma))
     # Crossings with no flagged interval (tangential touches) still count
     # as non-passive: the metric reaches the threshold.
     passive = not bands and not ws

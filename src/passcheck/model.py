@@ -9,6 +9,12 @@ poles are stored once (positive imaginary part) with a pairing flag.
 Evaluation is one product over the expanded sum (conjugates included),
 H(jw) = (1 / (jw - pe))[K, n] @ R[n, P*P] + D, with the stacked arrays
 built once per model; realization expands conjugates on the fly.
+
+The passivity metric is sigma_max(H(jw)), taken as the square root of the
+largest eigenvalue of the Hermitian Gram matrix H^H H (``sigma_max``),
+which LAPACK's Hermitian eigensolver finds faster than an SVD.  Where that
+eigenvalue leaves [2^-960, 2^960], the Gram has lost digits to underflow
+or overflowed, and the SVD of H gives the value instead.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ INF = math.inf
 # Complex entries (16 bytes each) allowed in one (K, n) or (K, P*P)
 # temporary of passivity_metric_many; sets how many points a chunk holds.
 METRIC_BUDGET = 2 ** 16
+# sigma_max^2 range in which the Gram matrix H^H H holds it to full
+# precision: squares of larger entries overflow, of smaller ones underflow.
+GRAM_RANGE = (2.0 ** -960, 2.0 ** 960)
 
 
 class ModelError(ValueError):
@@ -163,10 +172,30 @@ def evaluate_transfer_many(model: PoleResidueModel, omegas):
     return (G @ R + d).reshape(omegas.size, P, P)
 
 
+def sigma_max(H):
+    """Largest singular value of each P x P matrix of ``H`` (..., P, P).
+
+    sigma_max(H)^2 is the largest eigenvalue of H^H H.  A matrix whose
+    eigenvalue falls outside ``GRAM_RANGE`` (or is not finite, or the
+    eigensolver fails on an overflowed Gram) takes the SVD's value; a NaN
+    entry then raises the SVD's ``LinAlgError``.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        G = H.conj().swapaxes(-1, -2) @ H
+        try:
+            lam = np.linalg.eigvalsh(G)[..., -1]
+        except np.linalg.LinAlgError:
+            lam = np.full(H.shape[:-2], np.nan)
+    in_range = (lam >= GRAM_RANGE[0]) & (lam <= GRAM_RANGE[1])
+    if in_range.all():
+        return np.sqrt(lam)
+    return np.sqrt(lam, out=np.linalg.svd(H, compute_uv=False)[..., 0],
+                   where=in_range)
+
+
 def passivity_metric(model: PoleResidueModel, omega):
     """Largest singular value of H(j*omega)."""
-    H = evaluate_transfer(model, omega)
-    return float(np.linalg.svd(H, compute_uv=False)[0])
+    return float(sigma_max(evaluate_transfer(model, omega)))
 
 
 def passivity_metric_many(model: PoleResidueModel, omegas):
@@ -178,7 +207,7 @@ def passivity_metric_many(model: PoleResidueModel, omegas):
     out = np.empty(omegas.size)
     for k in range(0, omegas.size, step):
         H = evaluate_transfer_many(model, omegas[k:k + step])
-        out[k:k + step] = np.linalg.svd(H, compute_uv=False)[:, 0]
+        out[k:k + step] = sigma_max(H)
     return out
 
 

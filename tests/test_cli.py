@@ -194,6 +194,30 @@ class TestCompareCommand:
         assert "dense_check" not in doc
         assert doc["total_evaluations"] > 0
 
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    def test_oracle_metric_failure_exit_two(self, violating_path, capsys,
+                                            monkeypatch, fault):
+        # The adaptive check is served from a clean run, so only the
+        # oracle's sign probes and band-peak reads meet the broken kernel.
+        import passcheck.hamiltonian as hamiltonian_mod
+        import passcheck.verifier as verifier_mod
+
+        report = verifier_mod.check_passivity(siso(-1.0, 2.0), "hard")
+        monkeypatch.setattr(verifier_mod, "check_passivity",
+                            lambda model, mode: report)
+
+        def broken(model, omega):
+            if fault == "raise":
+                raise FloatingPointError("probe failed")
+            return math.nan
+
+        for mod in (verifier_mod, hamiltonian_mod):
+            monkeypatch.setattr(mod, "passivity_metric", broken)
+        assert main(["compare", "--model", violating_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric evaluation failed: " + (
+            "probe failed" if fault == "raise" else "non-finite metric at omega="))
+
 
 class TestGenCorpus:
     def test_deterministic_manifests(self, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from passcheck.model import (INF, METRIC_BUDGET, ModelError, PoleResidueModel,
                              evaluate_transfer, evaluate_transfer_many, load_model,
                              model_from_dict, model_to_dict, passivity_metric,
-                             passivity_metric_many, realize, save_model, ss_transfer,
-                             validate)
+                             passivity_metric_many, realize, save_model, sigma_max,
+                             ss_transfer, validate)
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -200,6 +201,81 @@ class TestPassivityMetric:
             s_pos = np.linalg.svd(direct_sum(m, w), compute_uv=False)[0]
             s_neg = np.linalg.svd(direct_sum(m, -w), compute_uv=False)[0]
             assert s_pos == pytest.approx(s_neg, rel=1e-12)
+
+
+class TestSigmaMax:
+    """sigma_max from the Gram eigenvalue keeps the SVD's values and range."""
+
+    @staticmethod
+    def stack(P, scale=1.0):
+        rng = np.random.default_rng(41 + P)
+        return scale * (rng.standard_normal((64, P, P))
+                        + 1j * rng.standard_normal((64, P, P)))
+
+    @staticmethod
+    def svd(H):
+        return np.linalg.svd(H, compute_uv=False)[..., 0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e140, 1e-140])
+    @pytest.mark.parametrize("P", [1, 2, 4, 8, 16])
+    def test_matches_svd(self, P, scale):
+        # 1e+-140 keeps sigma_max^2 inside GRAM_RANGE: the eigenvalue route.
+        H = self.stack(P, scale)
+        assert np.abs(sigma_max(H) / self.svd(H) - 1.0).max() <= 1e-14
+        assert abs(sigma_max(H[5]) / self.svd(H[5]) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("P", [1, 2, 4, 8, 16])
+    def test_out_of_range_takes_the_svd(self, P, scale):
+        # The Gram overflows (1e200) or underflows to zero (1e-200).
+        H = self.stack(P, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigma_max(H)
+            one = sigma_max(H[5])
+        np.testing.assert_array_equal(got, self.svd(H))
+        assert one == self.svd(H[5])
+
+    def test_mixed_stack_routes_each_matrix(self):
+        H = self.stack(4)
+        H[::3] *= 1e200
+        got = sigma_max(H)
+        np.testing.assert_array_equal(got[::3], self.svd(H[::3]))
+        assert np.abs(got / self.svd(H) - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("P", [1, 2, 16])
+    def test_zero_stack(self, P):
+        assert not sigma_max(np.zeros((3, P, P), dtype=complex)).any()
+        assert sigma_max(np.zeros((P, P), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_nan_entry_raises_the_svd_error(self, P):
+        H = self.stack(P)
+        H[7, 0, -1] = np.nan
+        for bad in (H, H[7]):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                sigma_max(bad)
+
+    def test_nan_entry_check_exits_two(self, tmp_path, capsys, monkeypatch):
+        import passcheck.model as model_mod
+        from passcheck.cli import main
+
+        transfer_many = model_mod.evaluate_transfer_many
+
+        def with_nan(model, omegas):
+            H = transfer_many(model, omegas)
+            H[0, 0, -1] = np.nan
+            return H
+
+        monkeypatch.setattr(model_mod, "evaluate_transfer_many", with_nan)
+        path = tmp_path / "model.json"
+        save_model(random_model(np.random.default_rng(43), 2, 2, 1), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--model", str(path)]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric evaluation failed: SVD did not converge")
 
 
 class TestRealize:
