@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import corpus, hamiltonian, search, verifier
+from . import corpus, hamiltonian, verifier
 from .model import ModelError, load_model, realize
 from .report import SCHEMA_VERSION, encode_num
 
@@ -194,7 +194,7 @@ def main(argv=None):
     except (ModelError, hamiltonian.OracleUnavailable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except search.EvaluatorError as exc:
+    except verifier.EvaluatorError as exc:
         print(f"error: metric evaluation failed: {exc}", file=sys.stderr)
         return 2
 

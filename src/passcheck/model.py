@@ -270,8 +270,7 @@ def _reject_constant(name):
 
 
 def _c(entry):
-    re, im = float(entry["re"]), float(entry["im"])
-    return complex(re, im)
+    return complex(_number(entry["re"]), _number(entry["im"]))
 
 
 def model_to_dict(model: PoleResidueModel) -> dict:
@@ -297,11 +296,18 @@ def _typed(value, kind):
     return value
 
 
+def _number(value):
+    """``value`` as a float if it is a JSON number (a JSON bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def _field(doc, name, convert):
     """``convert(doc[name])``; a malformed value raises a named ModelError."""
     try:
         return convert(doc[name])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"model field {name!r} is malformed: {exc!r}") from None
 
 
@@ -317,12 +323,13 @@ def model_from_dict(doc: dict) -> PoleResidueModel:
     residues = _field(doc, "residues", lambda rs: [
         np.array([[_c(v) for v in row] for row in r], dtype=complex)
         for r in rs])
-    direct = _field(doc, "direct_term", lambda d: np.asarray(d, dtype=float))
+    direct = _field(doc, "direct_term", lambda d: np.array(
+        [[_number(v) for v in row] for row in d], dtype=float))
     for name, arrays in (("direct_term", [direct]), ("residues", residues),
                          ("poles", [np.array(poles, dtype=complex)])):
         if not all(np.isfinite(a).all() for a in arrays):
             raise ModelError(f"model field {name!r} contains NaN/Inf")
-    omega_max = _field(doc, "omega_max", float)
+    omega_max = _field(doc, "omega_max", _number)
     if not math.isfinite(omega_max):
         raise ModelError("model field 'omega_max' contains NaN/Inf")
     model = PoleResidueModel(

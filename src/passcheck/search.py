@@ -14,22 +14,15 @@ by the caller, so the threshold is 1.
 
 ``steps`` is the search as a generator of point requests; ``lockstep``
 drives any number of them with one evaluation call per round, and
-``run`` is its one-search case for a scalar function.
+``run`` is its one-search case for a scalar function.  The search
+handles no metric failure: whatever the evaluation call raises (the
+``verifier.Evaluator`` names each failure) passes through unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-class EvaluatorError(RuntimeError):
-    """Metric evaluation failed; ``partial`` is the search's partial
-    result when the failure came mid-search, else None."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -67,10 +60,7 @@ def cell_center(M, h, i):
 class SubbandResult:
     samples: list              # (cell centre zeta, theta) of each leaf, in cell order
     leaves: list               # (level, index, theta), in cell order
-    theta_max: float
-    zeta_at_max: float
     eval_count: int
-    valid: bool = True
 
 
 def conditions(config: SearchConfig, epsilon, h, children):
@@ -95,10 +85,7 @@ def steps(config: SearchConfig, trace=None):
     Each ``yield`` hands out the list of cell centres the search needs
     next (the initial centres, then the M - 1 non-middle children of one
     expansion) and receives their metric values, a sequence of floats in
-    the same order.  The generator returns the ``SubbandResult``.  An
-    exception thrown in at a ``yield`` is raised again as
-    ``EvaluatorError`` carrying the partial result, flagged invalid: the
-    leaves and counts as they stood before that batch.
+    the same order.  The generator returns the ``SubbandResult``.
 
     ``trace``, when given, is a list collecting one dict per iteration
     (level, expanded leaf, flags, counters) for debugging/regression.
@@ -106,27 +93,12 @@ def steps(config: SearchConfig, trace=None):
     M = config.M
     eval_count = 0
     leaves = []     # (level, index, theta, open), in cell order
-    theta_max = -math.inf
-    zeta_at_max = math.nan
-
-    def partial(valid):
-        return SubbandResult(
-            [(cell_center(M, lev, i), val) for lev, i, val, _ in leaves],
-            [(lev, i, val) for lev, i, val, _ in leaves],
-            theta_max, zeta_at_max, eval_count, valid=valid)
 
     def evaluate(cells, level):
-        """Yield the centres of ``cells`` at ``level``; note their values."""
-        nonlocal eval_count, theta_max, zeta_at_max
-        zetas = [cell_center(M, level, j) for j in cells]
-        try:
-            values = yield zetas
-        except Exception as exc:  # noqa: BLE001 - contract: flag partial invalid
-            raise EvaluatorError(str(exc), partial(valid=False)) from exc
-        eval_count += len(zetas)
-        for z, v in zip(zetas, values):
-            if v > theta_max:
-                theta_max, zeta_at_max = v, z
+        """Yield the centres of ``cells`` at ``level``; count them."""
+        nonlocal eval_count
+        values = yield [cell_center(M, level, j) for j in cells]
+        eval_count += len(cells)
         return values
 
     h = config.h0
@@ -172,7 +144,8 @@ def steps(config: SearchConfig, trace=None):
                 "mu": mu, "h": h, "leaf": i,
                 "S": [s1, s2, s3], "U": [u1, u2, u3],
                 "K": eval_count, "budget": budget, "epsilon": epsilon,
-                "theta_max": theta_max, "returning": budget_return,
+                "theta_max": max(max(v for _, _, v, _ in leaves), *child_vals),
+                "returning": budget_return,
             })
 
         stop = s1 or s2 or s3
@@ -188,7 +161,9 @@ def steps(config: SearchConfig, trace=None):
             h += 1
         mu += 1
 
-    return partial(valid=True)
+    return SubbandResult(
+        [(cell_center(M, lev, i), val) for lev, i, val, _ in leaves],
+        [(lev, i, val) for lev, i, val, _ in leaves], eval_count)
 
 
 def lockstep(searches, evaluate):
@@ -199,18 +174,14 @@ def lockstep(searches, evaluate):
     every unfinished search asks for, evaluates them with
     ``evaluate(global_zetas) -> values`` (a list of floats in the same
     order) and sends each search its share.  Returns the searches'
-    results in order.  An exception from ``evaluate`` is thrown into a
-    pending search, which raises it as ``EvaluatorError``.
+    results in order.  An exception from ``evaluate`` propagates unchanged.
     """
     gens = list(searches)
     requests = {ell: next(gen) for ell, gen in enumerate(gens)}
     results = [None] * len(gens)
     while requests:
         zetas = [ell + t for ell, ts in requests.items() for t in ts]
-        try:
-            values = evaluate(zetas)
-        except Exception as exc:  # noqa: BLE001 - raised as EvaluatorError
-            gens[next(iter(requests))].throw(exc)
+        values = evaluate(zetas)
         pending, start = {}, 0
         for ell, ts in requests.items():
             try:

@@ -8,7 +8,8 @@ order, and each hot run (maximal run of samples above the threshold) is
 one violation band with Brent-solved edges and a polished peak.  Every
 metric value comes from one ``Evaluator``, which divides it by gamma,
 so that every stage works at threshold 1, and raises ``EvaluatorError``
-on a kernel failure or a non-finite value.
+on a kernel failure or a non-finite value; that error passes through
+the search unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import search
 from .model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
                     passivity_metric_many, validate)
 from .report import PassivityReport, ViolationBand
-from .search import EvaluatorError, SearchConfig
+from .search import SearchConfig
 from .warp import WarpParams, build_warp_map
 
 
@@ -57,6 +58,10 @@ def preset(name: str) -> ModePreset:
         return PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown mode {name!r}; expected one of {sorted(PRESETS)}")
+
+
+class EvaluatorError(RuntimeError):
+    """Metric evaluation failed: the kernel raised or gave a non-finite value."""
 
 
 class Evaluator:

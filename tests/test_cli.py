@@ -11,7 +11,7 @@ from passcheck.corpus import generate_corpus, peak_metric, scaled_to_target
 from passcheck.model import (PoleResidueModel, load_model, model_to_dict,
                              passivity_metric, passivity_metric_many, save_model)
 from passcheck.report import PassivityReport
-from passcheck.search import EvaluatorError
+from passcheck.verifier import EvaluatorError
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -87,8 +87,10 @@ class TestCheckCommand:
         {**model_to_dict(siso(-1.0, 0.5)), "poles": [1.0]},
         {**model_to_dict(siso(-1.0, 0.5)), "poles": [{"im": 0.0}]},
         {**model_to_dict(siso(-1.0, 0.5)), "port_count": None},
+        {**model_to_dict(siso(-1.0, 0.5)), "omega_max": "10"},
         5,
-    ], ids=["pole-not-object", "pole-without-re", "null-port-count", "not-object"])
+    ], ids=["pole-not-object", "pole-without-re", "null-port-count",
+            "string-omega-max", "not-object"])
     def test_malformed_model_exit_two(self, tmp_path, capsys, doc):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))

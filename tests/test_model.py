@@ -361,6 +361,32 @@ class TestModelIO:
         with pytest.raises(ModelError, match="poles.*bool"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field, path, value", [
+        ("omega_max", (), True),
+        ("omega_max", (), "10"),
+        ("omega_max", (), 10 ** 400),
+        ("poles", (0, "re"), "-1"),
+        ("poles", (0, "im"), True),
+        ("residues", (0, 0, 0, "re"), True),
+        ("residues", (0, 0, 0, "im"), "0"),
+        ("direct_term", (0, 0), True),
+        ("direct_term", (0, 0), "0.1"),
+    ], ids=["omega_max-bool", "omega_max-str", "omega_max-overflow", "pole-re-str",
+            "pole-im-bool", "residue-re-bool", "residue-im-str", "direct-bool",
+            "direct-str"])
+    def test_numbers_must_be_json_numbers(self, field, path, value):
+        doc = model_to_dict(siso(complex(-1), 1.0))
+        if path:
+            *outer, last = path
+            target = doc[field]
+            for key in outer:
+                target = target[key]
+            target[last] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ModelError, match=f"{field}.*malformed"):
+            model_from_dict(doc)
+
     def test_port_count_must_be_int(self):
         doc = model_to_dict(siso(complex(-1), 1.0))
         doc["port_count"] = 1.9

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from passcheck.search import (EvaluatorError, SearchConfig, cell_center,
-                              conditions, run)
+from passcheck.search import (SearchConfig, cell_center, conditions, lockstep,
+                              run, steps)
 from passcheck.verifier import preset
 
 HARD = preset("hard").search_config
@@ -20,6 +20,11 @@ class CountingF:
         self.calls += 1
         self.seen.add(z)
         return self.fn(z)
+
+
+def peak(res):
+    """(zeta, theta) of the first largest sample of ``res``."""
+    return max(res.samples, key=lambda s: s[1])
 
 
 def assert_cell_order(leaves, M):
@@ -52,11 +57,11 @@ class TestInitialization:
         f = CountingF(lambda z: 0.2)
         res = run(f, SearchConfig(M=5, h0=0))
         assert 0.5 in f.seen
-        assert res.theta_max == 0.2
+        assert peak(res)[1] == 0.2
 
     def test_constant_theta_max(self):
         res = run(lambda z: 0.5, SearchConfig(M=3, h0=1))
-        assert res.theta_max == 0.5
+        assert peak(res)[1] == 0.5
 
 
 class TestStopConditions:
@@ -161,7 +166,7 @@ class TestRun:
         # default schedule starts at 7: init 5 + one expansion (K=9) overruns,
         # and 0.5 is nowhere near the threshold, so the run ends immediately
         res = run(lambda z: 0.5, SearchConfig(M=5, h0=1))
-        assert res.theta_max == 0.5
+        assert peak(res)[1] == 0.5
         assert res.eval_count == 9
 
     def test_constant_drains_via_s2(self):
@@ -169,36 +174,45 @@ class TestRun:
         # frozen; five expansions drain the five initial candidates
         res = run(lambda z: 0.5, SearchConfig(M=5, h0=1,
                                               budget_schedule=(10 ** 6,)))
-        assert res.theta_max == 0.5
+        assert peak(res)[1] == 0.5
         assert res.eval_count == 25
 
     def test_parabola_peak_found_hard(self):
         res = run(lambda z: 1.2 - 4 * (z - 0.3) ** 2, HARD)
-        assert res.theta_max == pytest.approx(1.2, abs=1e-6)
-        assert abs(res.zeta_at_max - 0.3) <= HARD.delta_zeta * 10
+        zeta_max, theta_max = peak(res)
+        assert theta_max == pytest.approx(1.2, abs=1e-6)
+        assert abs(zeta_max - 0.3) <= HARD.delta_zeta * 10
         assert any(t > 1.0 for _, t in res.samples)
 
     def test_near_threshold_passive_escalates(self):
         f = CountingF(lambda z: 0.999 + 1e-4 * math.cos(40 * math.pi * z))
         res = run(f, HARD)
         # dense grid confirms max < 1 (frozen: max = 0.9991 at cos = 1)
-        assert res.theta_max <= 0.9991 + 1e-12
+        assert peak(res)[1] <= 0.9991 + 1e-12
         assert all(t < 1.0 for _, t in res.samples)
         assert res.eval_count > HARD.budget_schedule[0]
 
     def test_theta_max_monotone_in_trace(self):
+        # each entry's theta_max is the largest value f has returned by then
+        returned = []
+
+        def f(z):
+            returned.append(math.sin(40 * z))
+            return returned[-1]
+
         trace = []
-        run(lambda z: math.sin(40 * z), HARD, trace=trace)
+        res = run(f, HARD, trace=trace)
         tm = [rec["theta_max"] for rec in trace]
         assert all(a <= b for a, b in zip(tm, tm[1:]))
+        assert tm == [max(returned[:rec["K"]]) for rec in trace]
+        assert res.eval_count == len(res.leaves) == len(returned)
 
     def test_determinism(self):
         f = lambda z: 0.9 + 0.2 * math.sin(23 * z)
         a = run(f, HARD)
         b = run(f, HARD)
         assert a.samples == b.samples
-        assert a.theta_max == b.theta_max
-        assert a.zeta_at_max == b.zeta_at_max
+        assert a.leaves == b.leaves
         assert a.eval_count == b.eval_count
 
     def test_unimodal_drains_candidates(self):
@@ -209,28 +223,38 @@ class TestRun:
                            delta_eta=1e-3, budget_schedule=(10 ** 6,))
         zstar = 0.4137
         res = run(lambda z: 0.8 - (z - zstar) ** 2, cfg)
-        assert abs(res.zeta_at_max - zstar) <= 5.0 ** -5
+        assert abs(peak(res)[0] - zstar) <= 5.0 ** -5
         self_levels = {h for h, _, _ in res.leaves}
         assert self_levels == {5}  # uniform freeze depth for this f
 
-    def test_evaluator_failure_flagged(self):
-        calls = [0]
+    def test_evaluation_error_passes_through(self):
+        # An error raised mid-search reaches the caller as the same object:
+        # from f through run, and from evaluate through lockstep.
+        error = FloatingPointError("kernel failed")
+        calls = []
 
         def flaky(z):
-            calls[0] += 1
-            if calls[0] > 7:
-                raise RuntimeError("boom")
+            calls.append(z)
+            if len(calls) > 7:  # inside the first expansion's batch
+                raise error
             return 0.9
 
-        with pytest.raises(EvaluatorError) as exc_info:
+        with pytest.raises(FloatingPointError) as exc_info:
             run(flaky, SearchConfig(M=5, h0=1, budget_schedule=(10 ** 6,),
                                     delta_theta=1e-300, delta_eta=1e-300))
-        partial = exc_info.value.partial
-        assert partial.valid is False
-        # the 8th call fails inside the first expansion's batch, so the
-        # partial result holds the five initial leaves only
-        assert partial.eval_count == 5
-        assert_cell_order(partial.leaves, 5)
+        assert exc_info.value is error
+
+        rounds = []
+
+        def evaluate(zetas):
+            rounds.append(zetas)
+            if len(rounds) > 1:  # the second round: every search has begun
+                raise error
+            return [0.9] * len(zetas)
+
+        with pytest.raises(FloatingPointError) as exc_info:
+            lockstep([steps(HARD) for _ in range(3)], evaluate)
+        assert exc_info.value is error
 
     def test_samples_sorted_and_flagged(self):
         res = run(lambda z: 1.1 - z, HARD)
