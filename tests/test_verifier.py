@@ -373,6 +373,25 @@ class TestLockstep:
         assert len(calls) <= max(steps)
         assert sum(calls) == sum(r.eval_count for r in results)
 
+    def test_kernel_failure_flags_partial(self):
+        # An error raised by evaluate in the second round, once every
+        # search has begun, reaches the caller of lockstep as the same
+        # object, unwrapped.
+        error = FloatingPointError("kernel failed")
+        rounds = []
+
+        def evaluate(zetas):
+            rounds.append(zetas)
+            if len(rounds) > 1:
+                raise error
+            return [0.9] * len(zetas)
+
+        with pytest.raises(FloatingPointError) as exc_info:
+            search.lockstep([search.steps(PRESETS["hard"].search_config)
+                             for _ in range(3)], evaluate)
+        assert exc_info.value is error
+        assert len(rounds) == 2
+
 
 class TestPoleFree:
     """A model with only a direct term: sigma_max(D) at every frequency."""
