@@ -1,4 +1,8 @@
-"""Adaptive sampling passivity verification for scattering macromodels."""
+"""Adaptive sampling passivity verification for scattering macromodels.
+
+Importing the package loads numpy only: scipy is imported inside the
+functions that use it, so a passive check never pays for it.
+"""
 
 from .model import (PoleResidueModel, StateSpaceModel, evaluate_transfer,
                     load_model, passivity_metric, realize, save_model, validate)

@@ -13,7 +13,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import verifier
 # The oracle reads the metric through ``verifier.Evaluator``.  The benchmark
@@ -93,7 +92,9 @@ def imaginary_crossings(problem: HamiltonianProblem,
         raise OracleUnavailable(
             f"oracle unavailable at this scale: dim {problem.dim} > {MAX_DENSE_DIM}"
         )
-    eigs = scipy.linalg.eigvals(problem.a, problem.b)
+    from scipy.linalg import eigvals
+
+    eigs = eigvals(problem.a, problem.b)
     eigs = eigs[np.isfinite(eigs)]
     imag = eigs[np.abs(eigs.real) <= IMAG_TOL * np.maximum(1.0, np.abs(eigs))]
     freqs = np.sort(imag.imag[imag.imag >= 0.0])

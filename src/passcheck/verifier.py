@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import search
 from .model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
@@ -146,8 +145,10 @@ def _crossing(ev, hot, cold, phi_hot, phi_cold):
     Brent's method solves phi = 1 to double precision; the two bracket
     ends are served from the values the caller holds, never evaluated.
     """
+    from scipy.optimize import brentq
+
     known = {hot: phi_hot, cold: phi_cold}
-    return scipy.optimize.brentq(
+    return brentq(
         lambda z: (known[z] if z in known else ev.one(z)[1]) - 1.0,
         min(hot, cold), max(hot, cold), xtol=1e-16,
         rtol=4 * np.finfo(float).eps, maxiter=200, disp=False)
@@ -171,7 +172,9 @@ def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
             best = (float(omegas[k]), float(phis[k]))
         a, b = zetas[k - 1] if k else a, zetas[k + 1] if k + 1 < sweep else b
     if b > a:
-        res = scipy.optimize.minimize_scalar(
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(
             lambda z: -ev.one(z)[1], bounds=(a, b), method="bounded",
             options={"xatol": 1e-14 * max(b - a, 1.0), "maxiter": 500})
         omega, phi = ev.wmap.unwarp(float(res.x)), float(-res.fun)
