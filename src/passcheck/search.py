@@ -1,16 +1,19 @@
 """Threshold-aware multi-scale tree search on the unit interval.
 
-An M-ary tree (M odd) partitions [0, 1] into cells.  The search keeps
-its leaves as one list in cell order, each leaf (level, index, theta,
-open).  The open leaf with the largest value at the current level is
-expanded: it is replaced in place by its M children, the middle child
+An M-ary tree (M odd) partitions [0, 1] into cells; a leaf is (level,
+index, theta).  The search keeps its open leaves in one heap per level,
+keyed (-theta, index), and its closed leaves in a list.  The open leaf
+with the largest value at the current level, the smallest index on a
+tie, is popped and expanded into its M children, the middle child
 inheriting the parent's value (relabeling, never re-evaluated).  The
 children stay open as refinement candidates, or a stop condition closes
 them (freezes them into the basket; with basket reuse they stay open)
-and the search restarts from the shallowest open level.  Budget overruns
-either escalate through a schedule (when everything looks passive but
-sits close to the threshold) or end the search.  Values are normalized
-by the caller, so the threshold is 1.
+and the search restarts from the shallowest level with a non-empty
+heap.  Budget overruns either escalate through a schedule (when
+everything looks passive but sits close to the threshold) or end the
+search.  At the end, one sort on the exact integer key
+``index * M**(top - level)`` puts all leaves in cell order.  Values are
+normalized by the caller, so the threshold is 1.
 
 ``steps`` is the search as a generator of point requests; ``lockstep``
 drives any number of them with one evaluation call per round, and
@@ -21,8 +24,10 @@ handles no metric failure: whatever the evaluation call raises (the
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from operator import sub
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ def conditions(config: SearchConfig, epsilon, h, children):
     expansion, in index order.  A stop condition closes the children; the
     escalation trigger is U1 and (U2 or U3)."""
     child_res = config.M ** (-h - 1)
-    delta = max(abs(b - a) for a, b in zip(children, children[1:]))
+    delta = max(map(abs, map(sub, children[1:], children)))
     theta_hat = max(children)
     gate = child_res < config.delta_eta
     rel = (1.0 - theta_hat) / theta_hat if theta_hat > 0 else math.inf
@@ -91,20 +96,15 @@ def steps(config: SearchConfig, trace=None):
     (level, expanded leaf, flags, counters) for debugging/regression.
     """
     M = config.M
-    eval_count = 0
-    leaves = []     # (level, index, theta, open), in cell order
-
-    def evaluate(cells, level):
-        """Yield the centres of ``cells`` at ``level``; count them."""
-        nonlocal eval_count
-        values = yield [cell_center(M, level, j) for j in cells]
-        eval_count += len(cells)
-        return values
-
+    half = M // 2
+    others = [c for c in range(M) if c != half]
     h = config.h0
-    first = range(M ** h)
-    values = yield from evaluate(first, h)
-    leaves.extend((h, i, v, True) for i, v in zip(first, values))
+    eval_count = M ** h
+    values = yield [cell_center(M, h, j) for j in range(eval_count)]
+    heaps = [[] for _ in range(h)]    # heaps[level]: open leaves (-theta, index)
+    heaps.append([(-v, j) for j, v in enumerate(values)])
+    heapq.heapify(heaps[h])
+    closed = []                       # (level, index, theta)
 
     sched = config.budget_schedule
     budget_idx = 0
@@ -113,17 +113,12 @@ def steps(config: SearchConfig, trace=None):
     mu = 0
 
     while h is not None:
-        # The open leaf at level h with the largest value, the first
-        # (smallest index) on a tie.
-        k = None
-        for j, (lev, _, val, is_open) in enumerate(leaves):
-            if is_open and lev == h and (k is None or val > parent_val):
-                k, parent_val = j, val
-        i = leaves[k][1]
-        mid = M * i + M // 2
-        cells = [j for j in range(M * i, M * (i + 1)) if j != mid]
-        values = yield from evaluate(cells, h + 1)
-        child_vals = [*values[:M // 2], parent_val, *values[M // 2:]]
+        neg, i = heapq.heappop(heaps[h])
+        base = M * i
+        width = M ** (-h - 1)
+        values = yield [(base + c + 0.5) * width for c in others]
+        eval_count += M - 1
+        child_vals = [*values[:half], -neg, *values[half:]]
 
         (s1, s2, s3), (u1, u2, u3) = conditions(config, epsilon, h, child_vals)
 
@@ -144,26 +139,35 @@ def steps(config: SearchConfig, trace=None):
                 "mu": mu, "h": h, "leaf": i,
                 "S": [s1, s2, s3], "U": [u1, u2, u3],
                 "K": eval_count, "budget": budget, "epsilon": epsilon,
-                "theta_max": max(max(v for _, _, v, _ in leaves), *child_vals),
+                "theta_max": max(*(-hp[0][0] for hp in heaps if hp),
+                                 *(v for _, _, v in closed), *child_vals),
                 "returning": budget_return,
             })
 
         stop = s1 or s2 or s3
-        is_open = config.basket_reuse or not stop
-        leaves[k:k + 1] = [(h + 1, M * i + c, v, is_open)
-                           for c, v in enumerate(child_vals)]
+        h += 1
+        if len(heaps) == h:
+            heaps.append([])
+        if config.basket_reuse or not stop:
+            for c, v in enumerate(child_vals):
+                heapq.heappush(heaps[h], (-v, base + c))
+        else:
+            closed.extend((h, base + c, v) for c, v in enumerate(child_vals))
         if budget_return:
             break
         if stop:
-            h = min((lev for lev, _, _, o in leaves if o), default=None)
+            h = next((lev for lev, hp in enumerate(heaps) if hp), None)
             epsilon = config.epsilon0
-        else:
-            h += 1
         mu += 1
 
-    return SubbandResult(
-        [(cell_center(M, lev, i), val) for lev, i, val, _ in leaves],
-        [(lev, i, val) for lev, i, val, _ in leaves], eval_count)
+    leaves = closed + [(lev, j, -neg) for lev, hp in enumerate(heaps)
+                       for neg, j in hp]
+    levels = range(len(heaps))
+    scale = [M ** (levels[-1] - lev) for lev in levels]
+    leaves.sort(key=lambda leaf: leaf[1] * scale[leaf[0]])
+    width = [M ** (-lev) for lev in levels]
+    return SubbandResult([((j + 0.5) * width[lev], v) for lev, j, v in leaves],
+                         leaves, eval_count)
 
 
 def lockstep(searches, evaluate):
@@ -176,20 +180,19 @@ def lockstep(searches, evaluate):
     order) and sends each search its share.  Returns the searches'
     results in order.  An exception from ``evaluate`` propagates unchanged.
     """
-    gens = list(searches)
-    requests = {ell: next(gen) for ell, gen in enumerate(gens)}
-    results = [None] * len(gens)
-    while requests:
-        zetas = [ell + t for ell, ts in requests.items() for t in ts]
-        values = evaluate(zetas)
-        pending, start = {}, 0
-        for ell, ts in requests.items():
+    active = [(ell, gen, next(gen)) for ell, gen in enumerate(searches)]
+    results = [None] * len(active)
+    while active:
+        values = evaluate([ell + t for ell, _, ts in active for t in ts])
+        pending, start = [], 0
+        for ell, gen, ts in active:
+            stop = start + len(ts)
             try:
-                pending[ell] = gens[ell].send(values[start:start + len(ts)])
+                pending.append((ell, gen, gen.send(values[start:stop])))
             except StopIteration as done:
                 results[ell] = done.value
-            start += len(ts)
-        requests = pending
+            start = stop
+        active = pending
     return results
 
 

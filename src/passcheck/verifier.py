@@ -123,20 +123,14 @@ def postprocess_edge_maxima(samples):
     across the boundary.  Plateaus keep their leftmost sample; the global
     first/last samples are half-neighborhood maxima.
     """
-    vals = [s[2] for s in samples]
-    n = len(vals)
-    retained = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and vals[j + 1] == vals[i]:
-            j += 1
-        left_ok = i == 0 or vals[i - 1] < vals[i]
-        right_ok = j == n - 1 or vals[j + 1] < vals[i]
-        if left_ok and right_ok and vals[i] > 1.0:
-            retained.append(i)
-        i = j + 1
-    return retained
+    if not samples:
+        return []
+    v = np.array([s[2] for s in samples])
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    u = v[starts]               # one value per plateau
+    left_ok = np.concatenate(([True], u[:-1] < u[1:]))
+    right_ok = np.concatenate((u[1:] < u[:-1], [True]))
+    return starts[left_ok & right_ok & (u > 1.0)].tolist()
 
 
 def _crossing(ev, hot, cold, phi_hot, phi_cold):

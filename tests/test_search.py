@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passcheck.search import SearchConfig, cell_center, conditions, run
+from passcheck.search import (SearchConfig, SubbandResult, cell_center,
+                              conditions, lockstep, run, steps)
 from passcheck.verifier import preset
 
 HARD = preset("hard").search_config
@@ -250,3 +253,123 @@ class TestRun:
         assert zs == sorted(zs)
         hot = [z for z, t in res.samples if t > 1.0]
         assert hot and all(z <= 0.1 for z in hot)
+
+
+def _reference_steps(config: SearchConfig, trace=None):
+    """The search with its leaves as one list in cell order and a linear
+    scan for the leaf to expand: the definition ``steps`` must reproduce."""
+    M = config.M
+    eval_count = 0
+    leaves = []     # (level, index, theta, open), in cell order
+
+    def evaluate(cells, level):
+        nonlocal eval_count
+        values = yield [cell_center(M, level, j) for j in cells]
+        eval_count += len(cells)
+        return values
+
+    h = config.h0
+    first = range(M ** h)
+    values = yield from evaluate(first, h)
+    leaves.extend((h, i, v, True) for i, v in zip(first, values))
+
+    sched = config.budget_schedule
+    budget_idx = 0
+    budget = sched[0]
+    epsilon = config.epsilon0
+    mu = 0
+
+    while h is not None:
+        k = None
+        for j, (lev, _, val, is_open) in enumerate(leaves):
+            if is_open and lev == h and (k is None or val > parent_val):
+                k, parent_val = j, val
+        i = leaves[k][1]
+        mid = M * i + M // 2
+        cells = [j for j in range(M * i, M * (i + 1)) if j != mid]
+        values = yield from evaluate(cells, h + 1)
+        child_vals = [*values[:M // 2], parent_val, *values[M // 2:]]
+
+        (s1, s2, s3), (u1, u2, u3) = conditions(config, epsilon, h, child_vals)
+
+        budget_return = False
+        if eval_count > budget:
+            if u1 and (u2 or u3):
+                budget_idx += 1
+                if budget_idx >= len(sched):
+                    budget_return = True
+                else:
+                    budget = sched[budget_idx]
+                    epsilon = config.rho_eps * epsilon
+            else:
+                budget_return = True
+
+        if trace is not None:
+            trace.append({
+                "mu": mu, "h": h, "leaf": i,
+                "S": [s1, s2, s3], "U": [u1, u2, u3],
+                "K": eval_count, "budget": budget, "epsilon": epsilon,
+                "theta_max": max(max(v for _, _, v, _ in leaves), *child_vals),
+                "returning": budget_return,
+            })
+
+        stop = s1 or s2 or s3
+        is_open = config.basket_reuse or not stop
+        leaves[k:k + 1] = [(h + 1, M * i + c, v, is_open)
+                           for c, v in enumerate(child_vals)]
+        if budget_return:
+            break
+        if stop:
+            h = min((lev for lev, _, _, o in leaves if o), default=None)
+            epsilon = config.epsilon0
+        else:
+            h += 1
+        mu += 1
+
+    return SubbandResult(
+        [(cell_center(M, lev, i), val) for lev, i, val, _ in leaves],
+        [(lev, i, val) for lev, i, val, _ in leaves], eval_count)
+
+
+@st.composite
+def tie_prone(draw):
+    """A function on [0, 1] whose values tie often, or sit at the threshold."""
+    kind = draw(st.sampled_from(["rounded", "constant", "plateau", "near"]))
+    amp = draw(st.floats(0.3, 1.5))
+    freq = draw(st.floats(1.0, 40.0))
+    if kind == "constant":
+        return lambda z: amp
+    if kind == "near":
+        return lambda z: 0.999 + 1e-4 * math.cos(freq * math.pi * z)
+    digits = draw(st.integers(1, 3))
+    if kind == "plateau":
+        return lambda z: round(amp * (math.floor(freq * z) % 3) / 2, digits)
+    return lambda z: round(amp * (0.6 + 0.4 * math.sin(freq * z)), digits)
+
+
+search_configs = st.builds(
+    SearchConfig,
+    M=st.sampled_from([3, 5, 7]),
+    h0=st.integers(0, 2),
+    delta_zeta=st.sampled_from([1e-8, 1e-5, 1e-3]),
+    delta_theta=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    delta_eta=st.sampled_from([1e-4, 1e-3, 1e-1]),
+    epsilon0=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    budget_schedule=st.lists(st.integers(5, 180), min_size=1, max_size=6,
+                             unique=True).map(lambda b: tuple(sorted(b))),
+    basket_reuse=st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(search_configs, st.lists(tie_prone(), min_size=1, max_size=4))
+def test_steps_match_reference_scan(cfg, fns):
+    def evaluate(zetas):
+        return [fns[int(g)](g - int(g)) for g in zetas]
+
+    traces, ref_traces = [[] for _ in fns], [[] for _ in fns]
+    got = lockstep([steps(cfg, t) for t in traces], evaluate)
+    want = lockstep([_reference_steps(cfg, t) for t in ref_traces], evaluate)
+    assert [(r.samples, r.leaves, r.eval_count) for r in got] == \
+        [(r.samples, r.leaves, r.eval_count) for r in want]
+    assert traces == ref_traces

@@ -91,6 +91,34 @@ class TestEdgeMaxima:
         samples = [(0.1, 0.1, 1.4, 0), (0.2, 0.2, 1.2, 0), (0.3, 0.3, 1.3, 0)]
         assert postprocess_edge_maxima(samples) == [0, 2]
 
+    def test_matches_plateau_scan(self):
+        def scan(samples):
+            vals = [s[2] for s in samples]
+            n = len(vals)
+            retained = []
+            i = 0
+            while i < n:
+                j = i
+                while j + 1 < n and vals[j + 1] == vals[i]:
+                    j += 1
+                left_ok = i == 0 or vals[i - 1] < vals[i]
+                right_ok = j == n - 1 or vals[j + 1] < vals[i]
+                if left_ok and right_ok and vals[i] > 1.0:
+                    retained.append(i)
+                i = j + 1
+            return retained
+
+        rng = np.random.default_rng(19)
+        cases = [[], [1.5], [0.5], [1.5] * 4, [1.2, 1.5, 1.1, 1.3]]
+        for _ in range(2000):
+            # runs of few distinct values: plateaus anywhere, ends included
+            k = int(rng.integers(1, 12))
+            levels = rng.choice([0.5, 1.0, 1.2, 1.5, 2.0], size=k)
+            cases.append(np.repeat(levels, rng.integers(1, 5, size=k)))
+        for vals in cases:
+            samples = [(0.0, 0.0, float(p), 0) for p in vals]
+            assert postprocess_edge_maxima(samples) == scan(samples)
+
 
 class TestMergeSamples:
     def test_order_and_dedup(self):
