@@ -1,7 +1,8 @@
 """Adaptive sampling passivity verification for scattering macromodels.
 
-Importing the package loads numpy only: scipy is imported inside the
-functions that use it, so a passive check never pays for it.
+Importing the package loads numpy only.  scipy is imported only by the
+Hamiltonian oracle's eigensolver (``hamiltonian.imaginary_crossings``), so
+a check, passive or violating, never pays for it.
 """
 
 from .model import (PoleResidueModel, StateSpaceModel, evaluate_transfer,

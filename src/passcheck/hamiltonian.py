@@ -78,23 +78,33 @@ def build_problem(ss: StateSpaceModel) -> HamiltonianProblem:
     S = np.eye(P) - D @ D.T
     Rinv_Bt = np.linalg.solve(R, B.T)
     Sinv_C = np.linalg.solve(S, C)
-    M = np.block([
-        [A + B @ np.linalg.solve(R, D.T @ C), B @ Rinv_Bt],
-        [-C.T @ Sinv_C, -A.T - C.T @ D @ Rinv_Bt],
-    ])
+    # The four blocks are written into one Fortran-ordered matrix, which
+    # the eigensolver then overwrites instead of copying.
+    N = ss.state_order
+    M = np.empty((2 * N, 2 * N), order="F")
+    np.add(A, B @ np.linalg.solve(R, D.T @ C), out=M[:N, :N])
+    M[:N, N:] = B @ Rinv_Bt
+    M[N:, :N] = -C.T @ Sinv_C
+    np.negative(A.T, out=M[N:, N:])
+    M[N:, N:] -= C.T @ D @ Rinv_Bt
     return HamiltonianProblem(M)
 
 
 def imaginary_crossings(problem: HamiltonianProblem,
                         dedup_tol=0.0) -> CrossingSet:
-    """Non-negative crossing frequencies from the (generalized) spectrum."""
+    """Non-negative crossing frequencies from the (generalized) spectrum.
+
+    The eigensolver works in place: it overwrites ``problem.a`` when that
+    is Fortran-ordered, as ``build_problem``'s standard form is, so the
+    problem cannot be solved twice.
+    """
     if problem.dim > MAX_DENSE_DIM:
         raise OracleUnavailable(
             f"oracle unavailable at this scale: dim {problem.dim} > {MAX_DENSE_DIM}"
         )
     from scipy.linalg import eigvals
 
-    eigs = eigvals(problem.a, problem.b)
+    eigs = eigvals(problem.a, problem.b, overwrite_a=True)
     eigs = eigs[np.isfinite(eigs)]
     imag = eigs[np.abs(eigs.real) <= IMAG_TOL * np.maximum(1.0, np.abs(eigs))]
     freqs = np.sort(imag.imag[imag.imag >= 0.0])

@@ -221,32 +221,31 @@ def realize(model: PoleResidueModel) -> StateSpaceModel:
     if problems:
         raise ModelError("cannot realize invalid model: " + "; ".join(problems))
     P = model.port_count
-    Ablocks, Brows, Ccols = [], [], []
+    N = P * sum(2 if pair else 1 for pair in model.is_pair)
+    A = np.zeros((N, N))
+    # Empty leading blocks give B and C their shapes for a pole-free model.
+    Brows, Ccols = [np.zeros((0, P))], [np.zeros((P, 0))]
     I = np.eye(P)
     Z = np.zeros((P, P))
+    k = 0
     for p, r, pair in zip(model.poles, model.residues, model.is_pair):
         if pair:
             a, b = p.real, p.imag
             # 2R_re/(s-p_re) style block: C [u I, b I; -b I, u I]^-1 B
             # with B = [I; 0], C = [2 Re R, 2 Im R] reproduces
             # R/(s-p) + conj(R)/(s-conj(p)).
-            Ablocks.append(np.block([[a * I, b * I], [-b * I, a * I]]))
+            A[k:k + 2 * P, k:k + 2 * P] = np.block([[a * I, b * I],
+                                                    [-b * I, a * I]])
             Brows.append(np.vstack([I, Z]))
             Ccols.append(np.hstack([2 * r.real, 2 * r.imag]))
+            k += 2 * P
         else:
-            Ablocks.append(p.real * I)
+            A[k:k + P, k:k + P] = p.real * I
             Brows.append(I)
             Ccols.append(r.real.copy())
-    if Ablocks:
-        from scipy.linalg import block_diag
-
-        A = block_diag(*Ablocks)
-        B = np.vstack(Brows)
-        C = np.hstack(Ccols)
-    else:
-        A = np.zeros((0, 0))
-        B = np.zeros((0, P))
-        C = np.zeros((P, 0))
+            k += P
+    B = np.vstack(Brows)
+    C = np.hstack(Ccols)
     return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term.copy())
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import search
+from . import brent, search
 from .model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
                     passivity_metric_many, validate)
 from .report import PassivityReport, ViolationBand
@@ -109,10 +109,10 @@ def merge_samples(results, wmap):
     Each subband's samples are sorted cell centres strictly inside (0, 1),
     so their concatenation in subband order is sorted and duplicate-free.
     """
-    merged = [(ell + z, v, ell) for ell, res in enumerate(results)
-              for z, v in res.samples]
-    omegas = wmap.unwarp_many([m[0] for m in merged]).tolist()
-    return [(w, *m) for w, m in zip(omegas, merged)]
+    zetas = [ell + z for ell, res in enumerate(results) for z, _ in res.samples]
+    return list(zip(wmap.unwarp_many(zetas).tolist(), zetas,
+                    (v for res in results for _, v in res.samples),
+                    (ell for ell, res in enumerate(results) for _ in res.samples)))
 
 
 def postprocess_edge_maxima(samples):
@@ -136,16 +136,12 @@ def postprocess_edge_maxima(samples):
 def _crossing(ev, hot, cold, phi_hot, phi_cold):
     """Zeta of the threshold crossing of ``ev`` between ``hot`` and ``cold``.
 
-    Brent's method solves phi = 1 to double precision; the two bracket
-    ends are served from the values the caller holds, never evaluated.
+    Brent's method solves phi = 1 to double precision from the two
+    bracket values the caller holds; it never evaluates the ends.
     """
-    from scipy.optimize import brentq
-
-    known = {hot: phi_hot, cold: phi_cold}
-    return brentq(
-        lambda z: (known[z] if z in known else ev.one(z)[1]) - 1.0,
-        min(hot, cold), max(hot, cold), xtol=1e-16,
-        rtol=4 * np.finfo(float).eps, maxiter=200, disp=False)
+    (a, fa), (b, fb) = sorted([(hot, phi_hot - 1.0), (cold, phi_cold - 1.0)])
+    return brent.brentq(lambda z: ev.one(z)[1] - 1.0, a, b, fa, fb,
+                        xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200)
 
 
 def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
@@ -166,12 +162,10 @@ def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
             best = (float(omegas[k]), float(phis[k]))
         a, b = zetas[k - 1] if k else a, zetas[k + 1] if k + 1 < sweep else b
     if b > a:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda z: -ev.one(z)[1], bounds=(a, b), method="bounded",
-            options={"xatol": 1e-14 * max(b - a, 1.0), "maxiter": 500})
-        omega, phi = ev.wmap.unwarp(float(res.x)), float(-res.fun)
+        z, neg_phi = brent.minimize_bounded(
+            lambda z: -ev.one(z)[1], a, b, xatol=1e-14 * max(b - a, 1.0),
+            maxiter=500)
+        omega, phi = ev.wmap.unwarp(float(z)), float(-neg_phi)
     else:
         omega, phi = ev.one(a)
     if best is not None and best[1] > phi:

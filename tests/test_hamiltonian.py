@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401 - loaded before any traced solve
 
-from passcheck import hamiltonian
+from passcheck import corpus, hamiltonian
 from passcheck.hamiltonian import (HamiltonianProblem, OracleUnavailable,
                                    build_problem, imaginary_crossings,
                                    oracle_verdict)
@@ -157,6 +159,21 @@ class TestImaginaryCrossings:
         assert imaginary_crossings(prob, dedup_tol=1e-9).frequencies == (1.0, 2.0)
         assert imaginary_crossings(prob, dedup_tol=0).frequencies == (
             1.0, 1.0 + 1e-12, 2.0)
+
+    def test_build_and_solve_in_place(self):
+        # The standard form is written into one matrix and the eigensolver
+        # overwrites it: no block copies and no solver copy at the peak.
+        ss = realize(corpus._random_model(np.random.default_rng(5), 8, 60))
+        tracemalloc.start()
+        try:
+            prob = build_problem(ss)
+            nbytes = prob.a.nbytes
+            imaginary_crossings(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.b is None and prob.dim == 960
+        assert peak < 1.7 * nbytes
 
 
 def _random_pr(rng, P, pairs, reals):

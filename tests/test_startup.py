@@ -2,9 +2,9 @@
 
 Each test runs a new interpreter with warnings as errors, ``src`` first on
 ``PYTHONPATH`` and one BLAS thread, so that nothing the test process has
-already imported hides an import.  scipy loads only on first use: a
-passive check never needs it, and a violating one loads ``scipy.optimize``
-for its band edges and peaks.
+already imported hides an import.  scipy loads only for the Hamiltonian
+oracle: an adaptive check, passive or violating, and ``gen-corpus`` never
+need it, and ``compare`` loads ``scipy.linalg`` for its eigensolver.
 """
 
 import json
@@ -52,7 +52,7 @@ PROBE = textwrap.dedent("""
 
     import passcheck, passcheck.cli
     facts = {"after_import": scipy_modules()}
-    passive, violating, report = sys.argv[1:]
+    passive, violating, report, corpus_dir = sys.argv[1:]
     with contextlib.redirect_stdout(io.StringIO()):
         facts["passive_code"] = passcheck.cli.main(
             ["check", "--model", passive])
@@ -60,7 +60,13 @@ PROBE = textwrap.dedent("""
         facts["violating_code"] = passcheck.cli.main(
             ["check", "--model", violating, "--mode", "hard",
              "--report", report])
-    facts["after_violating"] = scipy_modules()
+        facts["after_violating"] = scipy_modules()
+        facts["gen_corpus_code"] = passcheck.cli.main(
+            ["gen-corpus", "--seed", "1", "--out", corpus_dir, "--count", "2"])
+        facts["after_gen_corpus"] = scipy_modules()
+        facts["compare_code"] = passcheck.cli.main(
+            ["compare", "--model", violating])
+        facts["after_compare"] = scipy_modules()
     with open(report) as fh:
         doc = json.load(fh)
     del doc["wall_time_s"]
@@ -76,7 +82,7 @@ def cold_start(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("startup")
     proc = python("-c", PROBE, siso_path(tmp_path, "passive", 0.5),
                   siso_path(tmp_path, "violating", 2.0),
-                  str(tmp_path / "report.json"))
+                  str(tmp_path / "report.json"), str(tmp_path / "corpus"))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -90,10 +96,22 @@ def test_passive_check_loads_no_scipy(cold_start):
     assert cold_start["after_passive"] == []
 
 
-def test_violating_check_loads_scipy_optimize(cold_start):
+def test_violating_check_loads_no_scipy(cold_start):
     assert cold_start["violating_code"] == 1
-    assert "scipy.optimize" in cold_start["after_violating"]
+    assert cold_start["after_violating"] == []
     assert cold_start["report_matches"]
+
+
+def test_gen_corpus_loads_no_scipy(cold_start):
+    assert cold_start["gen_corpus_code"] == 0
+    assert cold_start["after_gen_corpus"] == []
+
+
+def test_compare_loads_scipy_linalg_only(cold_start):
+    assert cold_start["compare_code"] == 0
+    assert "scipy.linalg" in cold_start["after_compare"]
+    assert not [m for m in cold_start["after_compare"]
+                if m.startswith("scipy.optimize")]
 
 
 def test_python_m_passive_exits_zero_without_scipy(tmp_path):
