@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .model import PoleResidueModel, save_model
-from .verifier import DENSE_WARP, Evaluator, locate_peak
+from .verifier import DENSE_WARP, Evaluator, locate_peak, sweep
 from .warp import build_warp_map
 
 PORT_COUNTS = (1, 2, 4)
@@ -57,9 +57,9 @@ def _random_model(rng, port_count, n_terms):
 
 def peak_metric(model):
     """(omega_at_max, max_phi) by warped dense sweep plus local polish."""
-    wmap = build_warp_map(model, DENSE_WARP)
-    return locate_peak(Evaluator(model, wmap), 0.0, float(wmap.L), to_inf=True,
-                       sweep=CALIBRATION_GRID)
+    ev = Evaluator(model, build_warp_map(model, DENSE_WARP))
+    best, (lo, hi) = sweep(ev, 0.0, float(ev.wmap.L), CALIBRATION_GRID)
+    return locate_peak(ev, lo, hi, best, to_inf=True)
 
 
 def scaled_to_target(model, target):

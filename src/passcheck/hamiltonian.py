@@ -121,12 +121,13 @@ def _band_peak(ev, a, b):
     """(omega_peak, phi_peak) of the ``Evaluator`` on the warped band [a, b],
     located as the adaptive check locates its peaks.  A band edge can hold
     the maximum (at omega = 0, or where a lower singular value crosses), so
-    the better finite edge is the known best sample."""
+    the sweep maximum must beat the better finite edge to be the best sample."""
     to_inf = b == ev.wmap.L
     omegas, phis = ev(np.array([a] if to_inf else [a, b]))
     k = int(np.argmax(phis))
-    return verifier.locate_peak(ev, a, b, best=(float(omegas[k]), float(phis[k])),
-                                to_inf=to_inf, sweep=BAND_GRID)
+    peak, (lo, hi) = verifier.sweep(ev, a, b, BAND_GRID)
+    best = max((float(omegas[k]), float(phis[k])), peak, key=lambda p: p[1])
+    return verifier.locate_peak(ev, lo, hi, best, to_inf=to_inf)
 
 
 def oracle_verdict(ss: StateSpaceModel, pr: PoleResidueModel, gamma=1.0):

@@ -113,10 +113,6 @@ class StateSpaceModel:
             object.__setattr__(self, name, m)
 
     @property
-    def port_count(self):
-        return self.D.shape[0]
-
-    @property
     def state_order(self):
         return self.A.shape[0]
 

@@ -16,12 +16,6 @@ def encode_num(x):
     return float(x)
 
 
-def _unnum(x):
-    if x == "inf":
-        return math.inf
-    return float(x)
-
-
 @dataclass(frozen=True)
 class ViolationBand:
     omega_lo: float
@@ -37,11 +31,6 @@ class ViolationBand:
             "phi_peak": float(self.phi_peak),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(_unnum(d["omega_lo"]), _unnum(d["omega_hi"]),
-                   _unnum(d["omega_peak"]), float(d["phi_peak"]))
-
     def contains(self, omega):
         pad = CONTAINS_TOL * max(abs(self.omega_lo),
                                  abs(omega) if math.isfinite(omega) else 0.0, 1e-300)
@@ -52,7 +41,6 @@ class ViolationBand:
 
 @dataclass
 class PassivityReport:
-    passive: bool
     bands: list
     subband_count: int
     total_evaluations: int
@@ -61,6 +49,10 @@ class PassivityReport:
     wall_time: float
     gamma: float = 1.0
     refine_evaluations: int = 0   # metric points after the search, not in K
+
+    @property
+    def passive(self):
+        return not self.bands
 
     def to_dict(self, include_timing=True):
         doc = {
@@ -80,18 +72,3 @@ class PassivityReport:
         if include_timing:
             doc["wall_time_s"] = self.wall_time
         return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(
-            passive=bool(doc["passive"]),
-            bands=[ViolationBand.from_dict(b) for b in doc["bands"]],
-            subband_count=int(doc["subband_count"]),
-            total_evaluations=int(doc["total_evaluations"]),
-            samples=[(_unnum(s["omega"]), s["zeta"], s["phi"], s["subband"])
-                     for s in doc["samples"]],
-            mode=doc["mode"],
-            wall_time=float(doc.get("wall_time_s", 0.0)),
-            gamma=float(doc.get("gamma", 1.0)),
-            refine_evaluations=int(doc.get("refine_evaluations", 0)),
-        )

@@ -29,6 +29,9 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
+# Factor by which the U2 closeness epsilon shrinks at each escalation.
+RHO_EPS = 0.1
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -38,7 +41,6 @@ class SearchConfig:
     delta_theta: float = 1e-8   # S2 variation stop
     delta_eta: float = 1e-3     # gate for S3 / U3
     epsilon0: float = 1e-3      # U2 relative closeness, decays on escalation
-    rho_eps: float = 0.1
     budget_schedule: tuple = (7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
     basket_reuse: bool = False
 
@@ -50,8 +52,6 @@ class SearchConfig:
         for name in ("delta_zeta", "delta_theta", "delta_eta", "epsilon0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0 < self.rho_eps < 1:
-            raise ValueError(f"rho_eps must lie in (0, 1), got {self.rho_eps}")
         sched = self.budget_schedule
         if not sched or any(a >= b for a, b in zip(sched, sched[1:])):
             raise ValueError("budget_schedule must be non-empty, strictly increasing")
@@ -130,7 +130,7 @@ def steps(config: SearchConfig, trace=None):
                     budget_return = True
                 else:
                     budget = sched[budget_idx]
-                    epsilon = config.rho_eps * epsilon
+                    epsilon = RHO_EPS * epsilon
             else:
                 budget_return = True
 

@@ -144,23 +144,37 @@ def _crossing(ev, hot, cold, phi_hot, phi_cold):
                         xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200)
 
 
-def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
+def sweep(ev, a, b, count):
+    """First maximum of the ``Evaluator`` over ``count`` midpoints of the
+    warped interval [a, b], evaluated in blocks of ``METRIC_BUDGET`` points
+    so that memory does not grow with ``count``.  Returns ``((omega, phi),
+    (lo, hi))``: the maximum and the bracket that its neighbours (midpoints
+    or interval ends) make.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    step = (b - a) / count
+
+    def block_peak(start):
+        block = np.arange(start, min(start + METRIC_BUDGET, count))
+        omegas, phis = ev(a + (block + 0.5) * step)
+        k = int(np.argmax(phis))
+        return start + k, float(omegas[k]), float(phis[k])
+
+    k, omega, phi = max(map(block_peak, range(0, count, METRIC_BUDGET)),
+                        key=lambda peak: peak[2])
+    lo = a + (k - 0.5) * step if k else a
+    hi = a + (k + 1.5) * step if k + 1 < count else b
+    return (omega, phi), (lo, hi)
+
+
+def locate_peak(ev, a, b, best, to_inf=False):
     """(omega, phi) of the ``Evaluator``'s peak over the warped interval [a, b].
 
-    With ``sweep`` > 0, that many midpoints of [a, b] are evaluated in one
-    batched call and the polish is bracketed by the neighbours (midpoints
-    or interval ends) of their maximum; otherwise it runs on all of [a, b].
-    The bounded polish wins a tie against the best sample, which is the
-    sweep maximum or ``best``, an (omega, phi) sample the caller already
-    holds.  When ``to_inf``, omega = inf is probed last and wins a tie.
+    A bounded polish of [a, b] wins a tie against ``best``, an (omega, phi)
+    sample the caller already holds.  When ``to_inf``, omega = inf is
+    probed last and wins a tie.
     """
-    if sweep:
-        zetas = a + (np.arange(sweep) + 0.5) * ((b - a) / sweep)
-        omegas, phis = ev(zetas)
-        k = int(np.argmax(phis))
-        if best is None or phis[k] > best[1]:
-            best = (float(omegas[k]), float(phis[k]))
-        a, b = zetas[k - 1] if k else a, zetas[k + 1] if k + 1 < sweep else b
     if b > a:
         z, neg_phi = brent.minimize_bounded(
             lambda z: -ev.one(z)[1], a, b, xatol=1e-14 * max(b - a, 1.0),
@@ -168,7 +182,7 @@ def locate_peak(ev, a, b, best=None, to_inf=False, sweep=0):
         omega, phi = ev.wmap.unwarp(float(z)), float(-neg_phi)
     else:
         omega, phi = ev.one(a)
-    if best is not None and best[1] > phi:
+    if best[1] > phi:
         omega, phi = best
     if to_inf:
         omega_inf, phi_inf = ev.one(ev.wmap.L)
@@ -240,7 +254,6 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
     samples = merge_samples(results, wmap)
     bands = extract_bands(samples, ev, postprocess_edge_maxima(samples))
     return PassivityReport(
-        passive=not bands,
         bands=[dataclasses.replace(b, phi_peak=b.phi_peak * gamma) for b in bands],
         subband_count=wmap.L,
         total_evaluations=total_k,
@@ -253,21 +266,10 @@ def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport
 
 
 def dense_reference_check(model: PoleResidueModel, count):
-    """Brute-force sweep: count midpoints uniform in the ``DENSE_WARP`` axis,
-    in blocks of ``METRIC_BUDGET``.  Returns (worst_phi > 1, worst_omega,
-    worst_phi) at the first maximum.
+    """Brute-force ``sweep`` of count midpoints uniform in the ``DENSE_WARP``
+    axis.  Returns (worst_phi > 1, worst_omega, worst_phi) at the first
+    maximum.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     wmap = build_warp_map(model, DENSE_WARP)
-    ev = Evaluator(model, wmap)
-
-    def block_peak(start):
-        block = np.arange(start, min(start + METRIC_BUDGET, count))
-        omegas, phis = ev((block + 0.5) * (wmap.L / count))
-        k = int(np.argmax(phis))
-        return float(omegas[k]), float(phis[k])
-
-    worst_omega, worst_phi = max(map(block_peak, range(0, count, METRIC_BUDGET)),
-                                 key=lambda peak: peak[1])
+    (worst_omega, worst_phi), _ = sweep(Evaluator(model, wmap), 0.0, wmap.L, count)
     return worst_phi > 1.0, worst_omega, worst_phi

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+Q_MAX = 500.0       # quality factor above which a pole's bandwidth is stretched
+Q_STRETCH = 50.0    # c: that stretch
+TAIL_COUNT = 3      # kappa: log-spaced samples past omega_max
+TAIL_DECADES = 0.5  # d: their extent, decades past omega_max
 
 
 @dataclass(frozen=True)
@@ -26,14 +30,8 @@ class WarpParams:
     R_cp: int = 1             # samples per in-band complex pair
     R_rp: int = 2             # samples per real pole
     R_hf: int = 5             # samples per out-of-band pole
-    c: float = 50.0           # bandwidth stretch for high-Q poles
-    Q_max: float = 500.0
-    kappa: int = 3            # log tail sample count
-    d: float = 0.5            # tail extent, decades past omega_max
 
     def __post_init__(self):
-        if self.c <= 1 or self.Q_max <= 1 or self.kappa < 1 or self.d <= 0:
-            raise ValueError(f"invalid warp parameters: {self}")
         if self.R_cp < 1 or self.R_rp < 2 or self.R_hf < 3:
             warnings.warn(
                 f"sample counts outside recommended ranges: "
@@ -66,8 +64,8 @@ def pole_samples(poles, params: WarpParams, omega_max):
             R = params.R_cp
         if beta > 0.0:
             Q = beta / (2.0 * abs(alpha))
-            if Q > params.Q_max:
-                alpha = params.c * alpha
+            if Q > Q_MAX:
+                alpha = Q_STRETCH * alpha
         for r in range(-R, R + 1):
             w = beta + alpha * math.tan(r * math.pi / (2.0 * (R + 1)))
             if w >= 0.0:
@@ -75,12 +73,12 @@ def pole_samples(poles, params: WarpParams, omega_max):
     return out
 
 
-def tail_samples(omega_max, params: WarpParams):
+def tail_samples(omega_max):
     """Log-spaced samples past the model band, inf appended last."""
     if not omega_max > 0:
         raise ValueError(f"omega_max must be > 0, got {omega_max}")
-    out = [omega_max * 10.0 ** (params.d * nu / params.kappa)
-           for nu in range(params.kappa + 1)]
+    out = [omega_max * 10.0 ** (TAIL_DECADES * nu / TAIL_COUNT)
+           for nu in range(TAIL_COUNT + 1)]
     out[0] = omega_max  # exact at nu = 0
     out.append(INF)
     return out
@@ -126,7 +124,7 @@ def assemble_control_points(candidates, params: WarpParams, state_order,
 def build_control_points(model, params: WarpParams) -> ControlPointSet:
     """Full Step-1 pipeline for a pole-residue model."""
     cands = pole_samples(model.poles, params, model.omega_max)
-    tails = tail_samples(model.omega_max, params)
+    tails = tail_samples(model.omega_max)
     return assemble_control_points(
         cands + tails, params,
         state_order=model.n_terms * model.port_count,

@@ -10,7 +10,6 @@ from passcheck.cli import classify, compare_model, main
 from passcheck.corpus import generate_corpus, peak_metric, scaled_to_target
 from passcheck.model import (PoleResidueModel, load_model, model_to_dict,
                              passivity_metric, passivity_metric_many, save_model)
-from passcheck.report import PassivityReport
 from passcheck.verifier import EvaluatorError
 
 
@@ -61,9 +60,8 @@ class TestCheckCommand:
         main(["check", "--model", violating_path, "--mode", "hard",
               "--report", str(report_path)])
         doc = json.loads(report_path.read_text())
-        back = PassivityReport.from_dict(doc)
-        assert not back.passive
-        assert back.bands[0].omega_hi == pytest.approx(math.sqrt(3.0), abs=1e-6)
+        assert doc["passive"] is False
+        assert doc["bands"][0]["omega_hi"] == pytest.approx(math.sqrt(3.0), abs=1e-6)
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -196,6 +194,44 @@ class TestCompareCommand:
         assert "dense_check" not in doc
         assert doc["total_evaluations"] > 0
 
+    @pytest.mark.parametrize("model, force, label, violated, resolution", [
+        (siso(-1.0, 2.0), "oracle", "FN", True,
+         "passive-but-FN: oracle missed a real violation"),
+        (siso(-1.0, 0.5), "adaptive", "FN", False, "adaptive false alarm"),
+        (siso(-1.0, 2.0), "adaptive", "FP", True, "adaptive missed a real violation"),
+        (siso(-1.0, 0.5), "oracle", "FP", False,
+         "oracle false alarm or tangential touch"),
+    ], ids=["oracle-missed", "adaptive-false-alarm", "adaptive-missed",
+            "oracle-false-alarm"])
+    def test_tiebreak_resolution(self, monkeypatch, model, force, label,
+                                 violated, resolution):
+        # One side's verdict is flipped so that the two disagree; the dense
+        # sweep, cut to a few thousand points, then decides which one erred.
+        import dataclasses
+
+        import passcheck.cli as cli_mod
+        import passcheck.hamiltonian as hamiltonian_mod
+        import passcheck.verifier as verifier_mod
+        from passcheck.report import ViolationBand
+
+        fake_band = ViolationBand(1.0, 2.0, 1.5, 1.5)
+        monkeypatch.setattr(cli_mod, "DENSE_COUNT", 4096)
+        if force == "adaptive":
+            check = verifier_mod.check_passivity
+            monkeypatch.setattr(verifier_mod, "check_passivity", lambda m, mode: (
+                dataclasses.replace(check(m, mode),
+                                    bands=[] if violated else [fake_band])))
+        else:
+            monkeypatch.setattr(hamiltonian_mod, "oracle_verdict", lambda ss, pr: (
+                (True, []) if violated else (False, [fake_band])))
+        doc = compare_model(model, mode="hard")
+        assert doc["classification"] == label
+        _, worst_omega, worst_phi = verifier_mod.dense_reference_check(model, 4096)
+        assert doc["dense_check"] == {"count": 4096, "violation_found": violated,
+                                      "worst_omega": worst_omega,
+                                      "worst_phi": worst_phi}
+        assert doc["resolution"] == resolution
+
     @pytest.mark.parametrize("fault", ["raise", "nan"])
     def test_oracle_metric_failure_exit_two(self, violating_path, capsys,
                                             monkeypatch, fault):
@@ -247,6 +283,14 @@ class TestGenCorpus:
         _, phi = peak_metric(model)
         assert phi == pytest.approx(1.2, rel=1e-6)
         assert factor > 0
+
+    def test_peak_at_infinity(self):
+        # |0.8 - 0.5 / (1 + jw)| rises to sigma_max(D) = 0.8 at omega = inf,
+        # which beats every finite sample and the polish.
+        model = siso(-1.0, -0.5, direct=0.8)
+        omega, phi = peak_metric(model)
+        assert omega == math.inf
+        assert phi == passivity_metric(model, math.inf) == pytest.approx(0.8, rel=1e-15)
 
     def test_calibration_rejects_non_finite_sweep(self, monkeypatch):
         import passcheck.verifier as verifier_mod

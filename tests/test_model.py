@@ -387,6 +387,29 @@ class TestModelIO:
         with pytest.raises(ModelError, match=f"{field}.*malformed"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.update(port_count=0), "port_count must be positive"),
+        (lambda doc: doc.update(omega_max=0.0), "omega_max must be > 0"),
+        (lambda doc: doc.update(omega_max="OVERFLOW"), "'omega_max' contains NaN/Inf"),
+        (lambda doc: doc.update(residues=[]), "lengths differ"),
+        (lambda doc: doc.update(direct_term=[[0.0, 0.0]]),
+         r"direct_term shape \(1, 2\)"),
+        (lambda doc: doc["poles"][0].update(im=-2.0, is_pair=True),
+         "flagged as pair but imaginary part -2.0 <= 0"),
+        (lambda doc: doc["residues"][0][0][0].update(im=0.5),
+         "residue 0 of real pole 0 is not real"),
+    ], ids=["port-count-zero", "omega-max-zero", "omega-max-literal-overflow",
+            "lengths-differ", "direct-term-shape", "pair-im-not-positive",
+            "real-pole-complex-residue"])
+    def test_model_checks_named_on_load(self, tmp_path, edit, match):
+        doc = model_to_dict(siso(complex(-1), 1.0))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        # 1e400 is a JSON number that parses to inf.
+        path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"))
+        with pytest.raises(ModelError, match=match):
+            load_model(path)
+
     def test_port_count_must_be_int(self):
         doc = model_to_dict(siso(complex(-1), 1.0))
         doc["port_count"] = 1.9

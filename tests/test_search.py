@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passcheck.search import (SearchConfig, SubbandResult, cell_center,
-                              conditions, lockstep, run, steps)
+from passcheck.search import (RHO_EPS, SearchConfig, SubbandResult,
+                              cell_center, conditions, lockstep, run, steps)
 from passcheck.verifier import preset
 
 HARD = preset("hard").search_config
@@ -300,7 +300,7 @@ def _reference_steps(config: SearchConfig, trace=None):
                     budget_return = True
                 else:
                     budget = sched[budget_idx]
-                    epsilon = config.rho_eps * epsilon
+                    epsilon = RHO_EPS * epsilon
             else:
                 budget_return = True
 

@@ -32,14 +32,13 @@ class TestPoleSamples:
 
     def test_q_compensation(self):
         out = pole_samples([complex(-0.001, 10)],
-                           WarpParams(R_cp=1, Q_max=500.0, c=50.0),
-                           omega_max=100.0)
+                           WarpParams(R_cp=1), omega_max=100.0)
+        # Q = 5000 > Q_MAX = 500: alpha is stretched by Q_STRETCH = 50.
         assert sorted(out) == pytest.approx([9.95, 10.0, 10.05])
 
     def test_no_q_compensation_below_threshold(self):
         out = pole_samples([complex(-1, 10)],
-                           WarpParams(R_cp=1, Q_max=500.0, c=50.0),
-                           omega_max=100.0)
+                           WarpParams(R_cp=1), omega_max=100.0)
         assert sorted(out) == pytest.approx([9.0, 10.0, 11.0])
 
     def test_hf_class_uses_r_hf(self):
@@ -55,17 +54,19 @@ class TestPoleSamples:
 
 class TestTailSamples:
     def test_formula(self):
-        out = tail_samples(1.0, WarpParams(kappa=3, d=0.5))
+        # TAIL_COUNT = 3 samples over TAIL_DECADES = 0.5 decades
+        out = tail_samples(1.0)
         assert out[:-1] == pytest.approx([1.0, 10 ** (1 / 6), 10 ** (1 / 3), 10 ** 0.5])
         assert out[-1] == INF
 
     def test_first_is_omega_max_exactly(self):
-        assert tail_samples(3.7, WarpParams(kappa=5, d=1.3))[0] == 3.7
+        assert tail_samples(3.7)[0] == 3.7
 
     def test_ghz_scale(self):
         w = 2 * math.pi * 1e9
-        out = tail_samples(w, WarpParams(kappa=2, d=0.5))
-        assert out == pytest.approx([w, w * 10 ** 0.25, w * 10 ** 0.5, INF])
+        out = tail_samples(w)
+        assert out == pytest.approx([w, w * 10 ** (1 / 6), w * 10 ** (1 / 3),
+                                     w * 10 ** 0.5, INF])
 
 
 class TestAssemble:
