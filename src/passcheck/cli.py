@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import corpus, hamiltonian, verifier
-from .model import ModelError, load_model, realize
+from .model import ModelError, load_model, realize, write_json
 from .report import SCHEMA_VERSION, encode_num
 
 
@@ -32,12 +32,6 @@ def _load(path, hz):
             omega_max=model.omega_max * two_pi,
         )
     return model
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path, report):
@@ -56,7 +50,7 @@ def cmd_check(args):
     model = _load(args.model, args.hz)
     report = verifier.check_passivity(model, args.mode)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        write_json(args.report, report.to_dict())
     if args.samples:
         _write_csv(args.samples, report)
     print(
@@ -119,7 +113,7 @@ def cmd_compare(args):
     model = _load(args.model, args.hz)
     doc = compare_model(model, args.mode)
     if args.report:
-        _write_json(args.report, doc)
+        write_json(args.report, doc)
     print(f"{doc['classification']}: adaptive={doc['adaptive_passive']}, "
           f"oracle={doc['oracle_passive']}")
     return 0 if doc["classification"] == "TP" else 1

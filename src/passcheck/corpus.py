@@ -10,13 +10,12 @@ the intended verdict recorded in the manifest.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 
 import numpy as np
 
-from .model import PoleResidueModel, save_model
+from .model import PoleResidueModel, save_model, write_json
 from .verifier import DENSE_WARP, Evaluator, locate_peak, sweep
 from .warp import build_warp_map
 
@@ -102,7 +101,5 @@ def generate_corpus(seed, out_dir, count=None):
         meta["file"] = fname
         entries.append(meta)
     manifest = {"schema_version": 1, "seed": seed, "entries": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

@@ -45,7 +45,8 @@ class PoleResidueModel:
 
     ``poles[k]`` with ``is_pair[k] == True`` stands for the conjugate
     pair ``p, conj(p)`` with residues ``R, conj(R)``; such poles are
-    stored with non-negative imaginary part.
+    stored with non-negative imaginary part.  Construction runs
+    ``validate`` and raises ``ModelError`` naming every violation.
     """
 
     poles: tuple
@@ -68,6 +69,9 @@ class PoleResidueModel:
         object.__setattr__(self, "direct_term", d)
         for r in self.residues:
             r.setflags(write=False)
+        problems = validate(self)
+        if problems:
+            raise ModelError("invalid model: " + "; ".join(problems))
 
     @property
     def n_terms(self):
@@ -118,8 +122,17 @@ class StateSpaceModel:
 
 
 def validate(model: PoleResidueModel):
-    """Return a list of human-readable invariant violations (empty if valid)."""
+    """Return a list of human-readable invariant violations (empty if valid).
+
+    ``PoleResidueModel`` runs it on construction and raises ``ModelError``
+    if the list is not empty, so every model object in existence is valid.
+    """
     problems = []
+    for name, values in (("omega_max", [model.omega_max]),
+                         ("direct_term", [model.direct_term]),
+                         ("residues", model.residues), ("poles", [model.poles])):
+        if not all(np.isfinite(v).all() for v in values):
+            problems.append(f"{name!r} contains NaN/Inf")
     P = model.port_count
     if P < 1:
         problems.append(f"port_count must be positive, got {P}")
@@ -213,18 +226,13 @@ def realize(model: PoleResidueModel) -> StateSpaceModel:
     Each real pole contributes P states, each conjugate pair 2P states,
     so N = n_terms * P for full-rank residues.
     """
-    problems = validate(model)
-    if problems:
-        raise ModelError("cannot realize invalid model: " + "; ".join(problems))
     P = model.port_count
-    N = P * sum(2 if pair else 1 for pair in model.is_pair)
-    A = np.zeros((N, N))
-    # Empty leading blocks give B and C their shapes for a pole-free model.
-    Brows, Ccols = [np.zeros((0, P))], [np.zeros((P, 0))]
+    N = P * model.n_terms
+    A, B, C = np.zeros((N, N)), np.zeros((N, P)), np.zeros((P, N))
     I = np.eye(P)
-    Z = np.zeros((P, P))
     k = 0
     for p, r, pair in zip(model.poles, model.residues, model.is_pair):
+        B[k:k + P] = I
         if pair:
             a, b = p.real, p.imag
             # 2R_re/(s-p_re) style block: C [u I, b I; -b I, u I]^-1 B
@@ -232,27 +240,13 @@ def realize(model: PoleResidueModel) -> StateSpaceModel:
             # R/(s-p) + conj(R)/(s-conj(p)).
             A[k:k + 2 * P, k:k + 2 * P] = np.block([[a * I, b * I],
                                                     [-b * I, a * I]])
-            Brows.append(np.vstack([I, Z]))
-            Ccols.append(np.hstack([2 * r.real, 2 * r.imag]))
+            C[:, k:k + P], C[:, k + P:k + 2 * P] = 2 * r.real, 2 * r.imag
             k += 2 * P
         else:
             A[k:k + P, k:k + P] = p.real * I
-            Brows.append(I)
-            Ccols.append(r.real.copy())
+            C[:, k:k + P] = r.real
             k += P
-    B = np.vstack(Brows)
-    C = np.hstack(Ccols)
     return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term.copy())
-
-
-def ss_transfer(ss: StateSpaceModel, omega):
-    """Resolvent-based H(j*omega) for a state-space model (test oracle)."""
-    if omega == INF:
-        return ss.D.astype(complex)
-    s = 1j * float(omega)
-    N = ss.state_order
-    X = np.linalg.solve(s * np.eye(N) - ss.A, ss.B)
-    return ss.C @ X + ss.D
 
 
 # --- JSON model files ---------------------------------------------------
@@ -320,14 +314,8 @@ def model_from_dict(doc: dict) -> PoleResidueModel:
         for r in rs])
     direct = _field(doc, "direct_term", lambda d: np.array(
         [[_number(v) for v in row] for row in d], dtype=float))
-    for name, arrays in (("direct_term", [direct]), ("residues", residues),
-                         ("poles", [np.array(poles, dtype=complex)])):
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ModelError(f"model field {name!r} contains NaN/Inf")
     omega_max = _field(doc, "omega_max", _number)
-    if not math.isfinite(omega_max):
-        raise ModelError("model field 'omega_max' contains NaN/Inf")
-    model = PoleResidueModel(
+    return PoleResidueModel(
         poles=tuple(poles),
         residues=tuple(residues),
         is_pair=tuple(flags),
@@ -335,16 +323,17 @@ def model_from_dict(doc: dict) -> PoleResidueModel:
         port_count=P,
         omega_max=omega_max,
     )
-    problems = validate(model)
-    if problems:
-        raise ModelError("invalid model: " + "; ".join(problems))
-    return model
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON with sorted keys, indent 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_model(model: PoleResidueModel, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> PoleResidueModel:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import brent, search
 from .model import (INF, METRIC_BUDGET, PoleResidueModel, passivity_metric,
-                    passivity_metric_many, validate)
+                    passivity_metric_many)
 from .report import PassivityReport, ViolationBand
 from .search import SearchConfig
 from .warp import WarpParams, build_warp_map
@@ -240,9 +240,6 @@ def extract_bands(samples, ev, retained):
 
 def check_passivity(model: PoleResidueModel, mode, gamma=1.0) -> PassivityReport:
     """Full two-stage verification under the preset named ``mode``."""
-    problems = validate(model)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
     chosen = preset(mode)
     t0 = time.perf_counter()
     wmap = build_warp_map(model, chosen.warp_params)

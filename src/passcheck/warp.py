@@ -75,30 +75,11 @@ def pole_samples(poles, params: WarpParams, omega_max):
 
 def tail_samples(omega_max):
     """Log-spaced samples past the model band, inf appended last."""
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be > 0, got {omega_max}")
     out = [omega_max * 10.0 ** (TAIL_DECADES * nu / TAIL_COUNT)
            for nu in range(TAIL_COUNT + 1)]
     out[0] = omega_max  # exact at nu = 0
     out.append(INF)
     return out
-
-
-@dataclass(frozen=True)
-class ControlPointSet:
-    points: tuple  # sorted, points[0] == 0, points[-1] == inf
-
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 3 or pts[0] != 0.0 or pts[-1] != INF:
-            raise ValueError("control points must run from 0 to inf with L >= 2")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError("control points must be strictly increasing")
-
-    @property
-    def subband_count(self):
-        return len(self.points) - 1
 
 
 def assemble_control_points(candidates, params: WarpParams, state_order,
@@ -111,35 +92,32 @@ def assemble_control_points(candidates, params: WarpParams, state_order,
     """
     pts = sorted(set(float(c) for c in candidates) | {0.0, INF} | set(protected))
     if math.isinf(params.rho) or state_order <= 0:
-        return ControlPointSet(tuple(pts))
+        return tuple(pts)
     dw = p_max / (state_order * params.rho)
     keep_always = set(protected) | {0.0, INF}
     kept = []
     for p in pts:
         if p in keep_always or not kept or p - kept[-1] >= dw:
             kept.append(p)
-    return ControlPointSet(tuple(kept))
-
-
-def build_control_points(model, params: WarpParams) -> ControlPointSet:
-    """Full Step-1 pipeline for a pole-residue model."""
-    cands = pole_samples(model.poles, params, model.omega_max)
-    tails = tail_samples(model.omega_max)
-    return assemble_control_points(
-        cands + tails, params,
-        state_order=model.n_terms * model.port_count,
-        p_max=model.p_max,
-        protected=tuple(t for t in tails if math.isfinite(t)),
-    )
+    return tuple(kept)
 
 
 class WarpMap:
-    """Piecewise-linear bijection between [0, inf] and [0, L]."""
+    """Piecewise-linear bijection between [0, inf] and [0, L].
 
-    def __init__(self, control_points: ControlPointSet):
-        self.control_points = control_points
-        self._finite = control_points.points[:-1]  # w_0 .. w_{L-1}
-        self.L = control_points.subband_count
+    ``points`` is the control-point chain 0 = w_0 < w_1 < ... < w_L = inf
+    with L >= 2; a chain that is not one raises ``ValueError``.
+    """
+
+    def __init__(self, points):
+        pts = tuple(float(p) for p in points)
+        if len(pts) < 3 or pts[0] != 0.0 or pts[-1] != INF:
+            raise ValueError("control points must run from 0 to inf with L >= 2")
+        if any(a >= b for a, b in zip(pts, pts[1:])):
+            raise ValueError("control points must be strictly increasing")
+        self.points = pts
+        self._finite = pts[:-1]  # w_0 .. w_{L-1}
+        self.L = len(pts) - 1
         self._pts = np.array(self._finite)
         self._ells = np.arange(self.L, dtype=float)
 
@@ -178,4 +156,12 @@ class WarpMap:
 
 
 def build_warp_map(model, params: WarpParams) -> WarpMap:
-    return WarpMap(build_control_points(model, params))
+    """Full Step-1 pipeline for a pole-residue model."""
+    cands = pole_samples(model.poles, params, model.omega_max)
+    tails = tail_samples(model.omega_max)
+    return WarpMap(assemble_control_points(
+        cands + tails, params,
+        state_order=model.n_terms * model.port_count,
+        p_max=model.p_max,
+        protected=tuple(t for t in tails if math.isfinite(t)),
+    ))

@@ -116,7 +116,7 @@ def test_criterion_4_warp_properties(corpus):
     n = 10_000
     for k in range(n):
         wmap = maps[k % len(maps)]
-        top = wmap.control_points.points[-2]  # last finite control point
+        top = wmap.points[-2]  # last finite control point
         w = float(10.0 ** rng.uniform(-6, math.log10(top) + 1))
         back = wmap.unwarp(wmap.warp(w))
         worst_rt = max(worst_rt, abs(back - w) / w)
@@ -125,7 +125,7 @@ def test_criterion_4_warp_properties(corpus):
             mono_fail += 1
     exact = all(wmap.warp(p) == float(i)
                 for wmap in maps
-                for i, p in enumerate(wmap.control_points.points[:-1]))
+                for i, p in enumerate(wmap.points[:-1]))
     exact = exact and all(wmap.warp(INF) == float(wmap.L) for wmap in maps)
     ok = worst_rt <= 1e-12 and mono_fail == 0 and exact
     assert _verdict(4, ok,

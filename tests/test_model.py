@@ -11,7 +11,7 @@ from passcheck.model import (INF, METRIC_BUDGET, ModelError, PoleResidueModel,
                              evaluate_transfer, evaluate_transfer_many, load_model,
                              model_from_dict, model_to_dict, passivity_metric,
                              passivity_metric_many, realize, save_model, sigma_max,
-                             ss_transfer, validate)
+                             validate)
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -30,6 +30,15 @@ def direct_sum(model, omega):
         if pair:
             H += np.conj(r) / (s - np.conj(p))
     return H
+
+
+def ss_transfer(ss, omega):
+    """Independent oracle for a realization: C (jw I - A)^-1 B + D."""
+    if omega == INF:
+        return ss.D.astype(complex)
+    s = 1j * float(omega)
+    X = np.linalg.solve(s * np.eye(ss.state_order) - ss.A, ss.B)
+    return ss.C @ X + ss.D
 
 
 def random_model(rng, P, pair_count, real_count, omega_max=100.0):
@@ -53,25 +62,37 @@ class TestValidate:
         assert validate(siso(complex(-1), 1.0)) == []
 
     def test_unstable_pole_named(self):
-        bad = siso(complex(1.0), 1.0)
-        problems = validate(bad)
-        assert len(problems) == 1
-        assert "pole 0" in problems[0]
+        with pytest.raises(ModelError,
+                           match=r"^invalid model: pole 0 is not strictly stable "
+                                 r"\(re = 1\.0\)$"):
+            siso(complex(1.0), 1.0)
 
     def test_unpaired_conjugate(self):
-        bad = PoleResidueModel(poles=(complex(-1, 2),),
-                               residues=(np.array([[1.0]]),),
-                               is_pair=(False,), direct_term=np.zeros((1, 1)),
-                               port_count=1, omega_max=10.0)
-        problems = validate(bad)
-        assert any("unpaired conjugate" in p for p in problems)
+        with pytest.raises(ModelError, match="pole 0 has unpaired conjugate"):
+            PoleResidueModel(poles=(complex(-1, 2),),
+                             residues=(np.array([[1.0]]),),
+                             is_pair=(False,), direct_term=np.zeros((1, 1)),
+                             port_count=1, omega_max=10.0)
 
     def test_dimension_mismatch(self):
-        bad = PoleResidueModel(poles=(complex(-1),),
-                               residues=(np.ones((2, 2)),),
-                               is_pair=(False,), direct_term=np.zeros((1, 1)),
-                               port_count=1, omega_max=10.0)
-        assert any("shape" in p for p in validate(bad))
+        with pytest.raises(ModelError, match=r"residue 0 shape \(2, 2\) != \(1, 1\)"):
+            PoleResidueModel(poles=(complex(-1),),
+                             residues=(np.ones((2, 2)),),
+                             is_pair=(False,), direct_term=np.zeros((1, 1)),
+                             port_count=1, omega_max=10.0)
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(omega_max=INF), "'omega_max' contains NaN/Inf"),
+        (dict(residues=(np.array([[np.nan]]),)), "'residues' contains NaN/Inf"),
+        (dict(poles=(complex(1.0, 10.0),), is_pair=(True,)),
+         "pole 0 is not strictly stable"),
+    ], ids=["omega-max-inf", "nan-residue", "unstable-pole"])
+    def test_python_built_model_refused_by_field(self, change, match):
+        fields = dict(poles=(complex(-1.0, 10.0),), residues=(np.ones((1, 1)),),
+                      is_pair=(True,), direct_term=np.zeros((1, 1)),
+                      port_count=1, omega_max=10.0)
+        with pytest.raises(ModelError, match=match):
+            PoleResidueModel(**{**fields, **change})
 
 
 class TestEvaluateTransfer:
@@ -417,13 +438,12 @@ class TestModelIO:
             model_from_dict(doc)
 
     def test_residue_shapes_checked_by_name(self):
-        doc = model_to_dict(PoleResidueModel(
-            poles=(complex(-1), complex(-2)),
-            residues=(np.ones((1, 1)), np.ones((2, 2))),
-            is_pair=(False, False), direct_term=np.zeros((1, 1)),
-            port_count=1, omega_max=10.0))
         with pytest.raises(ModelError, match=r"residue 1 shape \(2, 2\)"):
-            model_from_dict(doc)
+            PoleResidueModel(
+                poles=(complex(-1), complex(-2)),
+                residues=(np.ones((1, 1)), np.ones((2, 2))),
+                is_pair=(False, False), direct_term=np.zeros((1, 1)),
+                port_count=1, omega_max=10.0)
 
     def test_invalid_model_rejected_on_load(self, tmp_path):
         doc = model_to_dict(siso(complex(-1), 1.0))

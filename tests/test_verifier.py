@@ -15,7 +15,7 @@ from passcheck.search import SearchConfig
 from passcheck.verifier import (PRESETS, EvaluatorError, check_passivity,
                                 dense_reference_check, merge_samples,
                                 postprocess_edge_maxima, preset)
-from passcheck.warp import ControlPointSet, WarpMap, build_warp_map
+from passcheck.warp import WarpMap, build_warp_map
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -126,7 +126,7 @@ class TestMergeSamples:
             def __init__(self, samples):
                 self.samples = samples
 
-        wmap = WarpMap(ControlPointSet((0.0, 1.0, INF)))
+        wmap = WarpMap((0.0, 1.0, INF))
         merged = merge_samples([Fake([(0.2, 0.5), (0.8, 0.6)]),
                                 Fake([(0.0, 0.6), (0.5, 0.7)])], wmap)
         zetas = [m[1] for m in merged]

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from passcheck.warp import (ControlPointSet, WarpMap, WarpParams,
-                            assemble_control_points, build_control_points,
-                            pole_samples, tail_samples)
+from passcheck.warp import (WarpMap, WarpParams, assemble_control_points,
+                            build_warp_map, pole_samples, tail_samples)
 from passcheck.model import PoleResidueModel
 
 INF = math.inf
 
 
 def simple_map(points=(0.0, 1.0, 2.0, INF)):
-    return WarpMap(ControlPointSet(tuple(points)))
+    return WarpMap(points)
 
 
 class TestPoleSamples:
@@ -76,26 +75,26 @@ class TestAssemble:
         cps = assemble_control_points([0.0, 1e-9, 1.0, INF],
                                       WarpParams(rho=1e3),
                                       state_order=10, p_max=1.0)
-        assert cps.points == (0.0, 1.0, INF)
+        assert cps == (0.0, 1.0, INF)
 
     def test_rho_inf_keeps_all(self):
         cands = [0.0, 1e-9, 1e-8, 0.5, 1.0, INF]
         cps = assemble_control_points(cands, WarpParams(rho=INF),
                                       state_order=10, p_max=1.0)
-        assert cps.points == (0.0, 1e-9, 1e-8, 0.5, 1.0, INF)
+        assert cps == (0.0, 1e-9, 1e-8, 0.5, 1.0, INF)
 
     def test_cluster_keeps_smallest(self):
         cps = assemble_control_points([0.5, 0.50001, 0.50002, 1.0],
                                       WarpParams(rho=1e3),
                                       state_order=10, p_max=1.0)
-        assert 0.5 in cps.points
-        assert 0.50001 not in cps.points and 0.50002 not in cps.points
+        assert 0.5 in cps
+        assert 0.50001 not in cps and 0.50002 not in cps
 
     def test_protected_tail_survives(self):
         cps = assemble_control_points([1.0, 1.0 + 1e-9], WarpParams(rho=1e3),
                                       state_order=10, p_max=1.0,
                                       protected=(1.0 + 1e-9,))
-        assert 1.0 + 1e-9 in cps.points
+        assert 1.0 + 1e-9 in cps
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -103,12 +102,12 @@ class TestAssemble:
         a = assemble_control_points(cands, WarpParams(rho=1e3), 20, 10.0)
         rng.shuffle(cands)
         b = assemble_control_points(cands, WarpParams(rho=1e3), 20, 10.0)
-        assert a.points == b.points
+        assert a == b
 
     def test_rho_inf_count_is_distinct_candidates(self):
         cands = [0.3, 0.3, 0.7, 1.5]
         cps = assemble_control_points(cands, WarpParams(rho=INF), 10, 1.5)
-        assert len(cps.points) == len(set(cands) | {0.0, INF})
+        assert len(cps) == len(set(cands) | {0.0, INF})
 
 
 class TestWarpMap:
@@ -129,14 +128,25 @@ class TestWarpMap:
 
     def test_control_points_exact(self):
         pts = (0.0, 0.37, 1.9, 55.5, INF)
-        wm = WarpMap(ControlPointSet(pts))
+        wm = WarpMap(pts)
         for ell, w in enumerate(pts[:-1]):
             assert wm.warp(w) == float(ell)
             assert wm.unwarp(float(ell)) == w
         assert wm.unwarp(float(len(pts) - 1)) == INF
 
+    @pytest.mark.parametrize("points, match", [
+        ((0.0, INF), "from 0 to inf with L >= 2"),
+        ((0.1, 1.0, INF), "from 0 to inf"),
+        ((0.0, 1.0, 2.0), "from 0 to inf"),
+        ((0.0, 2.0, 1.0, INF), "strictly increasing"),
+        ((0.0, 1.0, 1.0, INF), "strictly increasing"),
+    ], ids=["too-short", "no-zero", "no-inf", "decreasing", "repeated"])
+    def test_rejects_invalid_chain(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            WarpMap(points)
+
     def test_unwarp_many_matches_scalar(self):
-        wm = WarpMap(ControlPointSet((0.0, 0.5, 2.0, 30.0, INF)))
+        wm = WarpMap((0.0, 0.5, 2.0, 30.0, INF))
         # Subband ends and the floats on either side of them included.
         ends = np.arange(wm.L + 1, dtype=float)
         zetas = np.concatenate([np.linspace(0.0, wm.L, 101),
@@ -153,7 +163,7 @@ class TestWarpMap:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, omega):
-        wm = WarpMap(ControlPointSet((0.0, 0.3, 7.0, 123.0, 4e4, INF)))
+        wm = WarpMap((0.0, 0.3, 7.0, 123.0, 4e4, INF))
         back = wm.unwarp(wm.warp(omega))
         assert back == pytest.approx(omega, rel=1e-12)
 
@@ -161,7 +171,7 @@ class TestWarpMap:
     @given(st.floats(min_value=0, max_value=1e6),
            st.floats(min_value=1e-8, max_value=10.0))
     def test_monotone(self, w1, rel_gap):
-        wm = WarpMap(ControlPointSet((0.0, 0.3, 7.0, 123.0, INF)))
+        wm = WarpMap((0.0, 0.3, 7.0, 123.0, INF))
         w2 = w1 + rel_gap * max(w1, 1e-3)
         assert wm.warp(w1) < wm.warp(w2)
 
@@ -172,11 +182,11 @@ class TestBuildControlPoints:
                              residues=(np.ones((1, 1), dtype=complex),),
                              is_pair=(True,), direct_term=np.zeros((1, 1)),
                              port_count=1, omega_max=20.0)
-        cps = build_control_points(m, WarpParams())
-        assert cps.points[0] == 0.0 and cps.points[-1] == INF
-        assert 20.0 in cps.points
-        assert 20.0 * 10 ** 0.5 in cps.points
-        assert cps.subband_count >= 2
+        wm = build_warp_map(m, WarpParams())
+        assert wm.points[0] == 0.0 and wm.points[-1] == INF
+        assert 20.0 in wm.points
+        assert 20.0 * 10 ** 0.5 in wm.points
+        assert wm.L == len(wm.points) - 1 >= 2
 
     def test_warn_outside_guidance(self):
         with pytest.warns(UserWarning):
