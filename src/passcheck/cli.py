@@ -26,11 +26,8 @@ def _load(path, hz):
     if hz:
         two_pi = 2.0 * math.pi
         model = dataclasses.replace(
-            model,
-            poles=tuple(p * two_pi for p in model.poles),
-            residues=tuple(r * two_pi for r in model.residues),
-            omega_max=model.omega_max * two_pi,
-        )
+            model, poles=model.poles * two_pi, residues=model.residues * two_pi,
+            omega_max=model.omega_max * two_pi)
     return model
 
 

@@ -50,7 +50,7 @@ def _random_model(rng, port_count, n_terms):
     direct = 0.1 * rng.standard_normal((P, P))
     omega_max = 1.2 * max(max(abs(p.imag), abs(p.real)) for p in poles)
     return PoleResidueModel(
-        poles=tuple(poles), residues=tuple(residues), is_pair=tuple(flags),
+        poles=poles, residues=residues, is_pair=flags,
         direct_term=direct, port_count=P, omega_max=omega_max)
 
 
@@ -66,7 +66,7 @@ def scaled_to_target(model, target):
     _, phi_max = peak_metric(model)
     factor = target / phi_max if phi_max > 0 else 0.0
     return dataclasses.replace(
-        model, residues=tuple(r * factor for r in model.residues),
+        model, residues=model.residues * factor,
         direct_term=model.direct_term * factor), factor
 
 

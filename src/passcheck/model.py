@@ -4,10 +4,13 @@ A model is either a pole-residue expansion
 
     H(s) = sum_n R_n / (s - p_n) + R0
 
-or an equivalent real state-space realization (A, B, C, D).  Complex
-poles are stored once (positive imaginary part) with a pairing flag.
-Evaluation is one product over the expanded sum (conjugates included),
-H(jw) = (1 / (jw - pe))[K, n] @ R[n, P*P] + D, with the stacked arrays
+or an equivalent real state-space realization (A, B, C, D).  A pole-residue
+model holds its own read-only stacked copies of poles (k,), residues
+(k, P, P), pair flags (k,) and direct term (P, P); a realization holds
+read-only views of the caller's matrices.  Complex poles are stored once
+(positive imaginary part) with a pairing flag.  Evaluation is one product
+over the expanded sum (conjugates included),
+H(jw) = (1 / (jw - pe))[K, n] @ R[n, P*P] + D, with the expanded arrays
 built once per model; realization expands conjugates on the fly.
 
 The passivity metric is sigma_max(H(jw)), taken as the square root of the
@@ -45,62 +48,66 @@ class PoleResidueModel:
 
     ``poles[k]`` with ``is_pair[k] == True`` stands for the conjugate
     pair ``p, conj(p)`` with residues ``R, conj(R)``; such poles are
-    stored with non-negative imaginary part.  Construction runs
-    ``validate`` and raises ``ModelError`` naming every violation.
+    stored with non-negative imaginary part.  Construction copies the
+    fields, leaving the caller's arrays alone, runs ``validate`` and
+    raises ``ModelError`` naming every violation.
     """
 
-    poles: tuple
-    residues: tuple          # P x P complex arrays, one per stored pole
-    is_pair: tuple
-    direct_term: np.ndarray  # P x P real
+    poles: np.ndarray        # (k,) complex, one per stored pole
+    residues: np.ndarray     # (k, P, P) complex
+    is_pair: np.ndarray      # (k,) bool
+    direct_term: np.ndarray  # (P, P) real
     port_count: int
     omega_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
-        object.__setattr__(
-            self,
-            "residues",
-            tuple(np.asarray(r, dtype=complex) for r in self.residues),
-        )
-        object.__setattr__(self, "is_pair", tuple(bool(f) for f in self.is_pair))
-        d = np.asarray(self.direct_term, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "direct_term", d)
-        for r in self.residues:
-            r.setflags(write=False)
+        owned = {"poles": np.array(self.poles, dtype=complex),
+                 "residues": _stacked(self.residues, self.port_count),
+                 "is_pair": np.array(self.is_pair, dtype=bool),
+                 "direct_term": np.array(self.direct_term, dtype=float)}
+        for name, a in owned.items():
+            object.__setattr__(self, name, a)
         problems = validate(self)
         if problems:
             raise ModelError("invalid model: " + "; ".join(problems))
+        for a in owned.values():
+            a.setflags(write=False)
 
     @property
     def n_terms(self):
         """Number of pole terms of the expanded sum (a pair counts as 2)."""
-        return sum(2 if f else 1 for f in self.is_pair)
+        return self.is_pair.size + int(np.count_nonzero(self.is_pair))
 
     @property
     def p_max(self):
-        return max([self.omega_max, *(abs(p) for p in self.poles)])
+        # Python's abs(complex): numpy's can differ from it in the last bit.
+        return max([self.omega_max, *map(abs, self.poles.tolist())])
 
     @functools.cached_property
     def kernel_arrays(self):
         """Read-only (pe, R, d): the n expanded poles, their flattened
         residues (n, P*P) and the flattened direct term, built on first use
-        and stored on this model object."""
+        and stored on this model object.  A pair's conjugate follows it."""
         P = self.port_count
-        pe, rows = [], []
-        for p, r, pair in zip(self.poles, self.residues, self.is_pair):
-            pe.append(p)
-            rows.append(r.ravel())
-            if pair:
-                pe.append(p.conjugate())
-                rows.append(r.conjugate().ravel())
-        arrays = (np.array(pe, dtype=complex),
-                  np.array(rows, dtype=complex).reshape(len(pe), P * P),
-                  self.direct_term.astype(complex).ravel())
+        counts = 1 + self.is_pair
+        pe = np.repeat(self.poles, counts)
+        R = np.repeat(self.residues.reshape(-1, P * P), counts, axis=0)
+        conjugates = np.cumsum(counts)[self.is_pair] - 1
+        pe[conjugates] = pe[conjugates].conj()
+        R[conjugates] = R[conjugates].conj()
+        arrays = (pe, R, self.direct_term.astype(complex).ravel())
         for a in arrays:
             a.setflags(write=False)
         return arrays
+
+
+def _stacked(residues, P):
+    """``residues`` as one (k, P, P) complex array, (0, P, P) for no poles;
+    as a tuple of arrays if their shapes differ, for ``validate`` to name."""
+    try:
+        return np.array(list(residues) or np.zeros((0, P, P)), dtype=complex)
+    except ValueError:
+        return tuple(np.array(r, dtype=complex) for r in residues)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class StateSpaceModel:
 
     def __post_init__(self):
         for name in "ABCD":
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = np.asarray(getattr(self, name), dtype=float).view()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
@@ -143,7 +150,8 @@ def validate(model: PoleResidueModel):
         return problems
     if model.direct_term.shape != (P, P):
         problems.append(f"direct_term shape {model.direct_term.shape} != ({P}, {P})")
-    for k, (p, r, pair) in enumerate(zip(model.poles, model.residues, model.is_pair)):
+    for k, (p, r, pair) in enumerate(zip(model.poles.tolist(), model.residues,
+                                         model.is_pair.tolist())):
         if not p.real < 0:
             problems.append(f"pole {k} is not strictly stable (re = {p.real})")
         if r.shape != (P, P):
@@ -246,7 +254,7 @@ def realize(model: PoleResidueModel) -> StateSpaceModel:
             A[k:k + P, k:k + P] = p.real * I
             C[:, k:k + P] = r.real
             k += P
-    return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term.copy())
+    return StateSpaceModel(A=A, B=B, C=C, D=model.direct_term)
 
 
 # --- JSON model files ---------------------------------------------------
@@ -269,11 +277,11 @@ def model_to_dict(model: PoleResidueModel) -> dict:
         "direct_term": model.direct_term.tolist(),
         "poles": [
             {"re": p.real, "im": p.imag, "is_pair": f}
-            for p, f in zip(model.poles, model.is_pair)
+            for p, f in zip(model.poles.tolist(), model.is_pair.tolist())
         ],
         "residues": [
             [[{"re": v.real, "im": v.imag} for v in row] for row in r]
-            for r in model.residues
+            for r in model.residues.tolist()
         ],
     }
 
@@ -315,14 +323,8 @@ def model_from_dict(doc: dict) -> PoleResidueModel:
     direct = _field(doc, "direct_term", lambda d: np.array(
         [[_number(v) for v in row] for row in d], dtype=float))
     omega_max = _field(doc, "omega_max", _number)
-    return PoleResidueModel(
-        poles=tuple(poles),
-        residues=tuple(residues),
-        is_pair=tuple(flags),
-        direct_term=direct,
-        port_count=P,
-        omega_max=omega_max,
-    )
+    return PoleResidueModel(poles=poles, residues=residues, is_pair=flags,
+                            direct_term=direct, port_count=P, omega_max=omega_max)
 
 
 def write_json(path, doc):

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
-CONTAINS_TOL = 1e-6  # relative widening of a band's edges in contains()
 
 
 def encode_num(x):
@@ -30,13 +29,6 @@ class ViolationBand:
             "omega_peak": encode_num(self.omega_peak),
             "phi_peak": float(self.phi_peak),
         }
-
-    def contains(self, omega):
-        pad = CONTAINS_TOL * max(abs(self.omega_lo),
-                                 abs(omega) if math.isfinite(omega) else 0.0, 1e-300)
-        hi = self.omega_hi
-        return self.omega_lo - pad <= omega and (
-            hi == math.inf or omega <= hi + CONTAINS_TOL * hi)
 
 
 @dataclass

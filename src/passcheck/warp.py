@@ -157,7 +157,7 @@ class WarpMap:
 
 def build_warp_map(model, params: WarpParams) -> WarpMap:
     """Full Step-1 pipeline for a pole-residue model."""
-    cands = pole_samples(model.poles, params, model.omega_max)
+    cands = pole_samples(model.poles.tolist(), params, model.omega_max)
     tails = tail_samples(model.omega_max)
     return WarpMap(assemble_control_points(
         cands + tails, params,

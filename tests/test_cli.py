@@ -171,6 +171,37 @@ class TestCheckCommand:
         hi = doc["bands"][0]["omega_hi"]
         assert hi == pytest.approx(2 * math.pi * math.sqrt(3.0), rel=1e-6)
 
+    def test_hz_flag_equals_model_scaled_by_hand(self, tmp_path):
+        # P = 4 with pairs and a real pole: --hz reads each pole, residue
+        # and omega_max times 2*pi, as a file scaled entry by entry does.
+        rng = np.random.default_rng(3)
+
+        def randn():
+            return rng.standard_normal((4, 4))
+
+        model, _ = scaled_to_target(PoleResidueModel(
+            poles=[complex(-0.5, 3.0), complex(-2.0), complex(-0.1, 12.0)],
+            residues=[randn() + 1j * randn(), randn(), 0.1 * (randn() + 1j * randn())],
+            is_pair=[True, False, True], direct_term=0.1 * randn(), port_count=4,
+            omega_max=15.0), 1.2)
+        by_hand = model_to_dict(model)
+        two_pi = 2.0 * math.pi
+        by_hand["omega_max"] *= two_pi
+        for entry in by_hand["poles"] + [v for r in by_hand["residues"]
+                                         for row in r for v in row]:
+            entry["re"] *= two_pi
+            entry["im"] *= two_pi
+
+        def report(doc, *flags):
+            path, out = tmp_path / "model.json", tmp_path / "report.json"
+            path.write_text(json.dumps(doc))
+            assert main(["check", "--model", str(path), "--mode", "hard",
+                         "--report", str(out), *flags]) == 1
+            return {k: v for k, v in json.loads(out.read_text()).items()
+                    if k != "wall_time_s"}
+
+        assert report(model_to_dict(model), "--hz") == report(by_hand)
+
 
 class TestCompareCommand:
     def test_agreement_exit_zero(self, passive_path, capsys):

@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passcheck.model import (INF, METRIC_BUDGET, ModelError, PoleResidueModel,
-                             evaluate_transfer, evaluate_transfer_many, load_model,
-                             model_from_dict, model_to_dict, passivity_metric,
-                             passivity_metric_many, realize, save_model, sigma_max,
-                             validate)
+                             StateSpaceModel, evaluate_transfer,
+                             evaluate_transfer_many, load_model, model_from_dict,
+                             model_to_dict, passivity_metric, passivity_metric_many,
+                             realize, save_model, sigma_max, validate)
 
 
 def siso(pole, residue, direct=0.0, omega_max=10.0):
@@ -39,6 +41,23 @@ def ss_transfer(ss, omega):
     s = 1j * float(omega)
     X = np.linalg.solve(s * np.eye(ss.state_order) - ss.A, ss.B)
     return ss.C @ X + ss.D
+
+
+def loop_kernel_arrays(model):
+    """Reference: the expanded (pe, R, d) built pole by pole, each pair's
+    conjugate right after its pole."""
+    P = model.port_count
+    pe, rows = [], []
+    for p, r, pair in zip(model.poles.tolist(), model.residues,
+                          model.is_pair.tolist()):
+        pe.append(p)
+        rows.append(r.ravel())
+        if pair:
+            pe.append(p.conjugate())
+            rows.append(r.conjugate().ravel())
+    return (np.array(pe, dtype=complex),
+            np.array(rows, dtype=complex).reshape(len(pe), P * P),
+            model.direct_term.astype(complex).ravel())
 
 
 def random_model(rng, P, pair_count, real_count, omega_max=100.0):
@@ -162,9 +181,34 @@ class TestKernel:
                              direct_term=np.array([[0.3, 0.4], [0.0, 0.0]]),
                              port_count=2, omega_max=10.0)
         assert m.p_max == 10.0
+        assert m.residues.shape == (0, 2, 2)
         self.assert_close(evaluate_transfer(m, 2.0), m.direct_term)
         self.assert_close(evaluate_transfer_many(m, [0.0, 5.0, INF])[1], m.direct_term)
         assert passivity_metric(m, 1.0) == pytest.approx(0.5, rel=1e-15)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_arrays_match_pole_by_pole_loop(self, data):
+        # Any mix of pairs and real poles (none included), P = 1..4, and
+        # entries that include signed zeros: the array build is byte-equal
+        # to the loop, so the product sums the same terms in the same order.
+        P = data.draw(st.integers(1, 4))
+        flags = data.draw(st.lists(st.booleans(), max_size=6))
+        entries = st.lists(st.floats(-1e3, 1e3), min_size=P * P, max_size=P * P)
+
+        def matrix():
+            return np.array(data.draw(entries)).reshape(P, P)
+
+        poles = [complex(-data.draw(st.floats(1e-3, 1e3)),
+                         data.draw(st.floats(1e-3, 1e3)) if pair else 0.0)
+                 for pair in flags]
+        residues = [matrix() + 1j * matrix() if pair else matrix()
+                    for pair in flags]
+        m = PoleResidueModel(poles=poles, residues=residues, is_pair=flags,
+                             direct_term=matrix(), port_count=P, omega_max=1e3)
+        for got, ref in zip(m.kernel_arrays, loop_kernel_arrays(m)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     def test_metric_many_chunks_match_scalar(self):
         m = random_model(np.random.default_rng(29), 2, 2, 1)
@@ -344,6 +388,31 @@ class TestRealize:
                 assert np.abs(H_pr - H_ss).max() <= 1e-9 * scale
 
 
+def test_model_owns_read_only_stacked_arrays():
+    # Construction copies (pole-residue) or views (state-space) the caller's
+    # arrays; it sets only its own arrays read-only.
+    r_pair, r_real = np.ones((2, 2), dtype=complex), np.eye(2)
+    d = np.zeros((2, 2))
+    m = PoleResidueModel(poles=[complex(-1, 2), complex(-3)],
+                         residues=[r_pair, r_real], is_pair=[True, False],
+                         direct_term=d, port_count=2, omega_max=10.0)
+    abcd = [np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))]
+    ss = StateSpaceModel(*abcd)
+    for caller in (r_pair, r_real, d, *abcd):
+        assert caller.flags.writeable
+    stacked = {"poles": ((2,), complex), "residues": ((2, 2, 2), complex),
+               "is_pair": ((2,), bool), "direct_term": ((2, 2), float)}
+    for name, (shape, dtype) in stacked.items():
+        a = getattr(m, name)
+        assert a.shape == shape and a.dtype == dtype
+        assert not a.flags.writeable
+    for name, caller in zip("ABCD", abcd):
+        a = getattr(ss, name)
+        assert a.shape == caller.shape and not a.flags.writeable
+    r_pair[0, 0] = 5.0
+    assert m.residues[0, 0, 0] == 1.0
+
+
 class TestModelIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -351,8 +420,8 @@ class TestModelIO:
         path = tmp_path / "m.json"
         save_model(m, path)
         back = load_model(path)
-        assert back.poles == m.poles
-        assert back.is_pair == m.is_pair
+        assert np.array_equal(back.poles, m.poles)
+        assert np.array_equal(back.is_pair, m.is_pair)
         np.testing.assert_array_equal(back.direct_term, m.direct_term)
         for a, b in zip(back.residues, m.residues):
             np.testing.assert_array_equal(a, b)
