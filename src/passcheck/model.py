@@ -42,7 +42,7 @@ class ModelError(ValueError):
     """Raised when a model file or model object is unusable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleResidueModel:
     """Pole-residue form of the transfer matrix.
 
@@ -50,7 +50,8 @@ class PoleResidueModel:
     pair ``p, conj(p)`` with residues ``R, conj(R)``; such poles are
     stored with non-negative imaginary part.  Construction copies the
     fields, leaving the caller's arrays alone, runs ``validate`` and
-    raises ``ModelError`` naming every violation.
+    raises ``ModelError`` naming every violation.  Models compare and
+    hash by identity.
     """
 
     poles: np.ndarray        # (k,) complex, one per stored pole
@@ -103,14 +104,23 @@ class PoleResidueModel:
 
 def _stacked(residues, P):
     """``residues`` as one (k, P, P) complex array, (0, P, P) for no poles;
-    as a tuple of arrays if their shapes differ, for ``validate`` to name."""
+    as a tuple of arrays if their shapes differ, for ``validate`` to name.
+    A residue that is no rectangular array raises a ``ModelError``."""
     try:
         return np.array(list(residues) or np.zeros((0, P, P)), dtype=complex)
     except ValueError:
-        return tuple(np.array(r, dtype=complex) for r in residues)
+        pass
+    arrays = []
+    for k, r in enumerate(residues):
+        try:
+            arrays.append(np.array(r, dtype=complex))
+        except ValueError:
+            raise ModelError(f"invalid model: residue {k} is not a "
+                             f"rectangular numeric array") from None
+    return tuple(arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     A: np.ndarray
     B: np.ndarray

@@ -37,9 +37,9 @@ class ModePreset:
 
 
 # The dense warp of hard and final: every candidate kept (no resolution
-# scan) and more samples per pole.  The oracle, the dense reference sweep
-# and the corpus calibration share it.
-DENSE_WARP = WarpParams(rho=math.inf, R_cp=3, R_rp=3, R_hf=6)
+# scan) and three samples on each side of every pole, pair or real.  The
+# oracle, the dense reference sweep and the corpus calibration share it.
+DENSE_WARP = WarpParams(rho=math.inf, R_cp=3, R_rp=3)
 
 # soft is the defaults; hard and final are their differences from it.
 PRESETS = {

@@ -1,11 +1,10 @@
 """Pole-based control points and piecewise-linear frequency warping.
 
 Step 1 of the verification pipeline: candidate frequencies are emitted
-around every model pole, merged with logarithmic out-of-band samples,
-and turned into a strictly increasing control-point chain
-0 = w_0 < w_1 < ... < w_L = inf.  The resulting warp maps [0, inf] onto
-[0, L], one unit per subband, with a projective map on the last
-(infinite) subband.
+around every model pole and, with 0, omega_max and inf, turned into a
+strictly increasing control-point chain 0 = w_0 < w_1 < ... < w_L = inf.
+The resulting warp maps [0, inf] onto [0, L], one unit per subband, with
+a projective map on the last (infinite) subband.
 """
 
 from __future__ import annotations
@@ -20,33 +19,27 @@ import numpy as np
 INF = math.inf
 Q_MAX = 500.0       # quality factor above which a pole's bandwidth is stretched
 Q_STRETCH = 50.0    # c: that stretch
-TAIL_COUNT = 3      # kappa: log-spaced samples past omega_max
-TAIL_DECADES = 0.5  # d: their extent, decades past omega_max
 
 
 @dataclass(frozen=True)
 class WarpParams:
     rho: float = 1e3          # dedup density; inf disables the resolution scan
-    R_cp: int = 1             # samples per in-band complex pair
+    R_cp: int = 1             # samples per complex pair
     R_rp: int = 2             # samples per real pole
-    R_hf: int = 5             # samples per out-of-band pole
 
     def __post_init__(self):
-        if self.R_cp < 1 or self.R_rp < 2 or self.R_hf < 3:
+        if self.R_cp < 1 or self.R_rp < 2:
             warnings.warn(
                 f"sample counts outside recommended ranges: "
-                f"R_cp={self.R_cp}, R_rp={self.R_rp}, R_hf={self.R_hf}",
+                f"R_cp={self.R_cp}, R_rp={self.R_rp}",
                 stacklevel=3,
             )
 
 
-# A pole counts as out-of-band ("hf") when either coordinate magnitude
-# exceeds this fraction of omega_max.
-HF_FRACTION = 0.9
-
-
-def pole_samples(poles, params: WarpParams, omega_max):
-    """Candidate frequencies emitted by each pole.
+def pole_samples(poles, params: WarpParams):
+    """Candidate frequencies emitted by each pole alpha + j beta:
+    beta + alpha * tan(r pi / (2R + 2)) for r = -R..R, with R = R_cp for a
+    pair and R_rp for a real pole (alpha stretched above Q_MAX).
 
     ``poles`` is an iterable of complex values; a conjugate pair is
     represented by its member with positive imaginary part.  Returns a
@@ -56,12 +49,7 @@ def pole_samples(poles, params: WarpParams, omega_max):
     for p in poles:
         alpha = p.real
         beta = abs(p.imag)
-        if max(abs(alpha), beta) > HF_FRACTION * omega_max:
-            R = params.R_hf
-        elif beta == 0.0:
-            R = params.R_rp
-        else:
-            R = params.R_cp
+        R = params.R_rp if beta == 0.0 else params.R_cp
         if beta > 0.0:
             Q = beta / (2.0 * abs(alpha))
             if Q > Q_MAX:
@@ -70,15 +58,6 @@ def pole_samples(poles, params: WarpParams, omega_max):
             w = beta + alpha * math.tan(r * math.pi / (2.0 * (R + 1)))
             if w >= 0.0:
                 out.append(w)
-    return out
-
-
-def tail_samples(omega_max):
-    """Log-spaced samples past the model band, inf appended last."""
-    out = [omega_max * 10.0 ** (TAIL_DECADES * nu / TAIL_COUNT)
-           for nu in range(TAIL_COUNT + 1)]
-    out[0] = omega_max  # exact at nu = 0
-    out.append(INF)
     return out
 
 
@@ -156,12 +135,11 @@ class WarpMap:
 
 
 def build_warp_map(model, params: WarpParams) -> WarpMap:
-    """Full Step-1 pipeline for a pole-residue model."""
-    cands = pole_samples(model.poles.tolist(), params, model.omega_max)
-    tails = tail_samples(model.omega_max)
+    """Full Step-1 pipeline for a pole-residue model: the chain
+    {0} | pole samples | {omega_max, inf}, omega_max kept by the scan."""
     return WarpMap(assemble_control_points(
-        cands + tails, params,
+        pole_samples(model.poles.tolist(), params), params,
         state_order=model.n_terms * model.port_count,
         p_max=model.p_max,
-        protected=tuple(t for t in tails if math.isfinite(t)),
+        protected=(model.omega_max,),
     ))

@@ -139,7 +139,7 @@ class TestCheckCommand:
                                     direct_term=np.array([[0.5]]), port_count=1,
                                     omega_max=10.0), path)
         assert main(["check", "--model", str(path), "--mode", "hard"]) == 0
-        assert "K=65" in capsys.readouterr().out
+        assert "K=26" in capsys.readouterr().out
 
     def test_csv_samples_format(self, violating_path, tmp_path):
         csv_path = tmp_path / "samples.csv"

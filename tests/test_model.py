@@ -413,6 +413,17 @@ def test_model_owns_read_only_stacked_arrays():
     assert m.residues[0, 0, 0] == 1.0
 
 
+def test_models_compare_and_hash_by_identity():
+    m = PoleResidueModel(poles=[complex(-1, 2)], residues=[np.ones((2, 2))],
+                         is_pair=[True], direct_term=np.zeros((2, 2)),
+                         port_count=2, omega_max=10.0)
+    ss = realize(m)
+    for model, copy in ((m, dataclasses.replace(m)),
+                        (ss, StateSpaceModel(ss.A, ss.B, ss.C, ss.D))):
+        assert model == model and not model == copy
+        assert len({model, copy}) == 2
+
+
 class TestModelIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -513,6 +524,11 @@ class TestModelIO:
                 residues=(np.ones((1, 1)), np.ones((2, 2))),
                 is_pair=(False, False), direct_term=np.zeros((1, 1)),
                 port_count=1, omega_max=10.0)
+        with pytest.raises(ModelError, match="residue 0 is not a rectangular"):
+            PoleResidueModel(
+                poles=(complex(-1),), residues=[[[1, 2], [3]]],
+                is_pair=(False,), direct_term=np.zeros((2, 2)),
+                port_count=2, omega_max=10.0)
 
     def test_invalid_model_rejected_on_load(self, tmp_path):
         doc = model_to_dict(siso(complex(-1), 1.0))

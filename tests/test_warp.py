@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passcheck.warp import (WarpMap, WarpParams, assemble_control_points,
-                            build_warp_map, pole_samples, tail_samples)
+                            build_warp_map, pole_samples)
 from passcheck.model import PoleResidueModel
+from passcheck.verifier import DENSE_WARP
 
 INF = math.inf
 
@@ -17,55 +18,30 @@ def simple_map(points=(0.0, 1.0, 2.0, INF)):
 
 class TestPoleSamples:
     def test_complex_pair_r1(self):
-        out = pole_samples([complex(-1, 10)], WarpParams(R_cp=1), omega_max=100.0)
+        out = pole_samples([complex(-1, 10)], WarpParams(R_cp=1))
         assert sorted(out) == pytest.approx([9.0, 10.0, 11.0])
 
     def test_real_pole_r2(self):
         # Closed-form tangents as independent check of the formula:
         # tan(pi/6) = 1/sqrt(3), tan(pi/3) = sqrt(3).
         expected = [0.0, 5 / math.sqrt(3), 5 * math.sqrt(3)]
-        out = pole_samples([complex(-5, 0)], WarpParams(R_rp=2), omega_max=100.0)
+        out = pole_samples([complex(-5, 0)], WarpParams(R_rp=2))
         assert sorted(out) == pytest.approx(expected, rel=1e-12)
         assert sorted(out)[1] == pytest.approx(2.8867513, rel=1e-6)
         assert sorted(out)[2] == pytest.approx(8.6602540, rel=1e-6)
 
     def test_q_compensation(self):
-        out = pole_samples([complex(-0.001, 10)],
-                           WarpParams(R_cp=1), omega_max=100.0)
+        out = pole_samples([complex(-0.001, 10)], WarpParams(R_cp=1))
         # Q = 5000 > Q_MAX = 500: alpha is stretched by Q_STRETCH = 50.
         assert sorted(out) == pytest.approx([9.95, 10.0, 10.05])
 
     def test_no_q_compensation_below_threshold(self):
-        out = pole_samples([complex(-1, 10)],
-                           WarpParams(R_cp=1), omega_max=100.0)
+        out = pole_samples([complex(-1, 10)], WarpParams(R_cp=1))
         assert sorted(out) == pytest.approx([9.0, 10.0, 11.0])
 
-    def test_hf_class_uses_r_hf(self):
-        # |im| close to omega_max -> R_hf samples (2*R+1 candidates, some < 0 dropped)
-        out_hf = pole_samples([complex(-1, 95)], WarpParams(R_cp=1, R_hf=5),
-                              omega_max=100.0)
-        assert len(out_hf) == 11
-
     def test_negative_samples_dropped(self):
-        out = pole_samples([complex(-50, 10)], WarpParams(R_cp=2), omega_max=100.0)
+        out = pole_samples([complex(-50, 10)], WarpParams(R_cp=2))
         assert all(w >= 0 for w in out)
-
-
-class TestTailSamples:
-    def test_formula(self):
-        # TAIL_COUNT = 3 samples over TAIL_DECADES = 0.5 decades
-        out = tail_samples(1.0)
-        assert out[:-1] == pytest.approx([1.0, 10 ** (1 / 6), 10 ** (1 / 3), 10 ** 0.5])
-        assert out[-1] == INF
-
-    def test_first_is_omega_max_exactly(self):
-        assert tail_samples(3.7)[0] == 3.7
-
-    def test_ghz_scale(self):
-        w = 2 * math.pi * 1e9
-        out = tail_samples(w)
-        assert out == pytest.approx([w, w * 10 ** (1 / 6), w * 10 ** (1 / 3),
-                                     w * 10 ** 0.5, INF])
 
 
 class TestAssemble:
@@ -184,9 +160,19 @@ class TestBuildControlPoints:
                              port_count=1, omega_max=20.0)
         wm = build_warp_map(m, WarpParams())
         assert wm.points[0] == 0.0 and wm.points[-1] == INF
-        assert 20.0 in wm.points
-        assert 20.0 * 10 ** 0.5 in wm.points
+        # omega_max is the last finite point: nothing lies between it and inf.
+        assert wm.points[-2] == 20.0
         assert wm.L == len(wm.points) - 1 >= 2
+
+    def test_dense_chain_is_poles_and_band_end(self):
+        # A pair near omega_max gets R_cp = 3 samples per side like any
+        # other pole, and no point is added past omega_max.
+        m = PoleResidueModel(poles=(complex(-1, 95),),
+                             residues=(np.ones((1, 1), dtype=complex),),
+                             is_pair=(True,), direct_term=np.zeros((1, 1)),
+                             port_count=1, omega_max=100.0)
+        samples = sorted(95.0 - math.tan(r * math.pi / 8) for r in range(-3, 4))
+        assert build_warp_map(m, DENSE_WARP).points == (0.0, *samples, 100.0, INF)
 
     def test_warn_outside_guidance(self):
         with pytest.warns(UserWarning):
